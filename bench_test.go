@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"sync"
@@ -15,6 +16,7 @@ import (
 
 	"neurospatial/internal/circuit"
 	"neurospatial/internal/core"
+	"neurospatial/internal/engine"
 	"neurospatial/internal/experiments"
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
@@ -422,33 +424,31 @@ func BenchmarkS3ProbeWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkFLATBatchQueryWorkers measures batched concurrent range queries
-// against the FLAT index — the multi-user serving regime. ns/op is the time
-// to drain the whole batch; pages/op must be identical across worker counts
-// (the determinism guarantee).
-func BenchmarkFLATBatchQueryWorkers(b *testing.B) {
-	m := benchModel(b, modelKey{neurons: 256, edge: 300, seed: 1})
-	vol := m.Circuit.Params.Volume
-	c := vol.Center()
-	span := vol.Size().Scale(0.25)
-	queries := make([]geom.AABB, 64)
-	for i := range queries {
-		off := geom.V(
-			span.X*float64(i%4-2)*0.4,
-			span.Y*float64((i/4)%4-2)*0.4,
-			span.Z*float64((i/16)%4-2)*0.4,
-		)
-		queries[i] = geom.BoxAround(c.Add(off), 25)
+// benchDoBatch drains reqs through a fixed-index session on the model's
+// named contender at each worker count, reporting pages/op and results/op —
+// identical across worker counts (the determinism guarantee).
+func benchDoBatch(b *testing.B, m *core.Model, name string, reqs []engine.Request, workerCounts []int) {
+	ix, err := m.EngineIndex(name)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
+	sess, err := engine.Open(engine.WithIndex(ix))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range workerCounts {
 		workers := workers
 		b.Run(sub("workers", workers), func(b *testing.B) {
 			var pages, results int64
 			for i := 0; i < b.N; i++ {
-				sts := m.Flat.BatchQuery(queries, nil, workers, nil)
-				agg := flat.Aggregate(sts)
-				pages += agg.PagesRead
-				results += agg.Results
+				res, err := sess.DoBatch(context.Background(), reqs, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, r := range res {
+					pages += r.Stats.PagesRead
+					results += r.Stats.Results
+				}
 			}
 			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 			b.ReportMetric(float64(results)/float64(b.N), "results/op")
@@ -456,19 +456,35 @@ func BenchmarkFLATBatchQueryWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkRTreeBatchQueryWorkers is the R-tree counterpart of the FLAT
-// batch bench, over the same query set shape.
-func BenchmarkRTreeBatchQueryWorkers(b *testing.B) {
+// BenchmarkFLATDoBatchWorkers measures batched concurrent range queries
+// against the FLAT index through Session.DoBatch — the multi-user serving
+// regime. ns/op is the time to drain the whole batch.
+func BenchmarkFLATDoBatchWorkers(b *testing.B) {
 	m := benchModel(b, modelKey{neurons: 256, edge: 300, seed: 1})
-	queries := e1Queries(m)
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(sub("workers", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m.RTree.BatchQuery(queries, workers, nil)
-			}
-		})
+	vol := m.Circuit.Params.Volume
+	c := vol.Center()
+	span := vol.Size().Scale(0.25)
+	reqs := make([]engine.Request, 64)
+	for i := range reqs {
+		off := geom.V(
+			span.X*float64(i%4-2)*0.4,
+			span.Y*float64((i/4)%4-2)*0.4,
+			span.Z*float64((i/16)%4-2)*0.4,
+		)
+		reqs[i] = engine.RangeRequest(geom.BoxAround(c.Add(off), 25))
 	}
+	benchDoBatch(b, m, "flat", reqs, []int{1, 2, 4, 8})
+}
+
+// BenchmarkRTreeDoBatchWorkers is the R-tree counterpart of the FLAT batch
+// bench, over the E1 query set.
+func BenchmarkRTreeDoBatchWorkers(b *testing.B) {
+	m := benchModel(b, modelKey{neurons: 256, edge: 300, seed: 1})
+	var reqs []engine.Request
+	for _, q := range e1Queries(m) {
+		reqs = append(reqs, engine.RangeRequest(q))
+	}
+	benchDoBatch(b, m, "rtree", reqs, []int{1, 4})
 }
 
 // BenchmarkCircuitBuildWorkers measures parallel tissue generation: the

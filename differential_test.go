@@ -9,11 +9,14 @@ package bench
 // algorithm.
 
 import (
+	"context"
+	"reflect"
 	"sort"
 	"testing"
 
 	"neurospatial/internal/circuit"
 	"neurospatial/internal/core"
+	"neurospatial/internal/engine"
 	"neurospatial/internal/geom"
 	"neurospatial/internal/join"
 	"neurospatial/internal/pager"
@@ -194,9 +197,51 @@ func TestS3ParallelStatsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestBatchQueryMatchesSerial asserts that the FLAT and R-tree batch APIs
-// reproduce a serial query loop exactly — visit order, per-query stats, and
-// totals — for several worker counts, with and without a shared buffer pool.
+// diffHit is one (query, id) pair of a batch's hit stream.
+type diffHit struct {
+	q  int
+	id int32
+}
+
+// doIDs runs one Range request through ix.Do, returning the hit IDs in Do's
+// canonical ascending order and the stats.
+func doIDs(t testing.TB, ix engine.SpatialIndex, q geom.AABB) ([]int32, engine.QueryStats) {
+	t.Helper()
+	var ids []int32
+	st, err := ix.Do(context.Background(), engine.RangeRequest(q), func(h engine.Hit) { ids = append(ids, h.ID) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids, st
+}
+
+// sessionBatch runs queries as Range requests through sess.DoBatch and
+// flattens the hit stream, returning per-query stats too.
+func sessionBatch(t testing.TB, sess *engine.Session, queries []geom.AABB, workers int) ([]diffHit, []engine.QueryStats) {
+	t.Helper()
+	reqs := make([]engine.Request, len(queries))
+	for i, q := range queries {
+		reqs[i] = engine.RangeRequest(q)
+	}
+	results, err := sess.DoBatch(context.Background(), reqs, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits []diffHit
+	sts := make([]engine.QueryStats, len(results))
+	for qi, r := range results {
+		for _, h := range r.Hits {
+			hits = append(hits, diffHit{qi, h.ID})
+		}
+		sts[qi] = r.Stats
+	}
+	return hits, sts
+}
+
+// TestBatchQueryMatchesSerial asserts that batched Range queries on the FLAT
+// and R-tree contenders (Session.DoBatch) reproduce a serial Do loop exactly
+// — visit order and per-query stats — for several worker counts, with and
+// without a buffer pool the session reads through.
 func TestBatchQueryMatchesSerial(t *testing.T) {
 	m := diffModel(t, 12, false, 505)
 	vol := m.Circuit.Params.Volume
@@ -212,84 +257,51 @@ func TestBatchQueryMatchesSerial(t *testing.T) {
 		queries = append(queries, geom.BoxAround(c.Add(off), 12+float64(i)))
 	}
 
-	type hit struct {
-		q  int
-		id int32
-	}
-	var want []hit
-	wantStats := m.Flat.BatchQuery(queries, nil, 1, func(q int, id int32) {
-		want = append(want, hit{q, id})
-	})
-	for _, w := range []int{2, 4, 7} {
-		var got []hit
-		gotStats := m.Flat.BatchQuery(queries, nil, w, func(q int, id int32) {
-			got = append(got, hit{q, id})
-		})
-		if len(got) != len(want) {
-			t.Fatalf("FLAT workers=%d: %d hits, want %d", w, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("FLAT workers=%d: hit %d is %+v, want %+v", w, i, got[i], want[i])
-			}
-		}
-		for qi := range wantStats {
-			g, s := gotStats[qi], wantStats[qi]
-			if g.SeedNodeAccesses != s.SeedNodeAccesses || g.PagesRead != s.PagesRead ||
-				g.Reseeds != s.Reseeds || g.EntriesTested != s.EntriesTested ||
-				g.Results != s.Results {
-				t.Errorf("FLAT workers=%d: query %d stats %+v, want %+v", w, qi, g, s)
-			}
-		}
-	}
-
-	// Through a shared pool the hit/miss split may differ per worker
-	// interleaving, but the result stream must not, and the pool accounting
-	// identity must hold.
-	poolStore := m.Flat.Store()
-	for _, w := range []int{1, 4} {
-		pool, err := pager.NewBufferPool(poolStore, 16)
+	for _, name := range []string{"flat", "rtree"} {
+		ix, err := m.EngineIndex(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []hit
-		m.Flat.BatchQuery(queries, pool, w, func(q int, id int32) {
-			got = append(got, hit{q, id})
-		})
-		if len(got) != len(want) {
-			t.Fatalf("FLAT+pool workers=%d: %d hits, want %d", w, len(got), len(want))
+		var want []diffHit
+		var wantStats []engine.QueryStats
+		for qi, q := range queries {
+			ids, st := doIDs(t, ix, q)
+			for _, id := range ids {
+				want = append(want, diffHit{qi, id})
+			}
+			wantStats = append(wantStats, st)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("FLAT+pool workers=%d: hit %d diverged", w, i)
+		sess, err := engine.Open(engine.WithIndex(ix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 4, 7} {
+			got, gotStats := sessionBatch(t, sess, queries, w)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: hit stream diverged from serial (%d vs %d hits)", name, w, len(got), len(want))
+			}
+			if !reflect.DeepEqual(gotStats, wantStats) {
+				t.Errorf("%s workers=%d: per-query stats diverged from serial", name, w)
 			}
 		}
-		st := pool.Stats()
-		if st.Hits+st.DemandReads == 0 {
-			t.Errorf("FLAT+pool workers=%d: pool saw no traffic", w)
-		}
-	}
 
-	// R-tree batch against its own serial loop.
-	type rhit struct {
-		q  int
-		id int32
-	}
-	var rwant []rhit
-	m.RTree.BatchQuery(queries, 1, func(q int, it rtree.Item) {
-		rwant = append(rwant, rhit{q, it.ID})
-	})
-	for _, w := range []int{2, 5} {
-		var rgot []rhit
-		m.RTree.BatchQuery(queries, w, func(q int, it rtree.Item) {
-			rgot = append(rgot, rhit{q, it.ID})
-		})
-		if len(rgot) != len(rwant) {
-			t.Fatalf("RTree workers=%d: %d hits, want %d", w, len(rgot), len(rwant))
-		}
-		for i := range rgot {
-			if rgot[i] != rwant[i] {
-				t.Fatalf("RTree workers=%d: hit %d diverged", w, i)
+		// Through a pool the hit/miss split may differ per worker
+		// interleaving, but the result stream must not.
+		for _, w := range []int{1, 4} {
+			pool, err := pager.NewBufferPool(ix.(engine.Paged).Store(), 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pooled, err := engine.Open(engine.WithIndex(ix), engine.WithPageSource(pool))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := sessionBatch(t, pooled, queries, w)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s+pool workers=%d: hit stream diverged", name, w)
+			}
+			if st := pool.Stats(); st.Hits+st.DemandReads == 0 {
+				t.Errorf("%s+pool workers=%d: pool saw no traffic", name, w)
 			}
 		}
 	}
@@ -341,19 +353,21 @@ func TestEngineRoutedMatchesDirect(t *testing.T) {
 		queries = append(queries, geom.BoxAround(c.Add(off), 12+float64(i)))
 	}
 
-	eflat, ertree := m.Engine.Index("flat"), m.Engine.Index("rtree")
+	eflat, err := m.EngineIndex("flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ertree, err := m.EngineIndex("rtree")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for qi, q := range queries {
 		var direct []int32
 		ds := m.Flat.Query(q, nil, func(id int32) { direct = append(direct, id) })
-		var routed []int32
-		es := eflat.Query(q, func(id int32) { routed = append(routed, id) })
-		if len(direct) != len(routed) {
-			t.Fatalf("flat query %d: %d routed hits, %d direct", qi, len(routed), len(direct))
-		}
-		for i := range direct {
-			if direct[i] != routed[i] {
-				t.Fatalf("flat query %d: hit %d diverged", qi, i)
-			}
+		sort.Slice(direct, func(i, j int) bool { return direct[i] < direct[j] })
+		routed, es := doIDs(t, eflat, q)
+		if !reflect.DeepEqual(routed, direct) {
+			t.Fatalf("flat query %d: %d routed hits, %d direct (or content differs)", qi, len(routed), len(direct))
 		}
 		if es.PagesRead != ds.PagesRead || es.IndexReads != ds.SeedNodeAccesses ||
 			es.Results != ds.Results {
@@ -362,15 +376,10 @@ func TestEngineRoutedMatchesDirect(t *testing.T) {
 
 		var dtree []int32
 		ts := m.RTree.Query(q, func(it rtree.Item) { dtree = append(dtree, it.ID) })
-		var rtreeRouted []int32
-		rs := ertree.Query(q, func(id int32) { rtreeRouted = append(rtreeRouted, id) })
-		if len(dtree) != len(rtreeRouted) {
-			t.Fatalf("rtree query %d: %d routed hits, %d direct", qi, len(rtreeRouted), len(dtree))
-		}
-		for i := range dtree {
-			if dtree[i] != rtreeRouted[i] {
-				t.Fatalf("rtree query %d: hit %d diverged", qi, i)
-			}
+		sort.Slice(dtree, func(i, j int) bool { return dtree[i] < dtree[j] })
+		rtreeRouted, rs := doIDs(t, ertree, q)
+		if !reflect.DeepEqual(rtreeRouted, dtree) {
+			t.Fatalf("rtree query %d: %d routed hits, %d direct (or content differs)", qi, len(rtreeRouted), len(dtree))
 		}
 		if rs.PagesRead != ts.NodeAccesses() || rs.Results != ts.Results {
 			t.Errorf("rtree query %d: engine stats %+v vs direct %+v", qi, rs, ts)
@@ -378,29 +387,35 @@ func TestEngineRoutedMatchesDirect(t *testing.T) {
 	}
 
 	// Planner-routed batch == chosen contender's serial loop, per worker count.
-	type hit struct {
-		q  int
-		id int32
+	var bases []engine.SpatialIndex
+	for _, name := range []string{"flat", "rtree", "grid", "sharded"} {
+		ix, err := m.EngineIndex(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, ix)
 	}
-	_, decision := m.Engine.Run(queries, 1, nil)
-	var want []hit
+	p := engine.NewPlanner(bases...)
+	sess, err := engine.Open(engine.WithPlanner(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := sess.Do(context.Background(), engine.RangeRequest(queries[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chosen := p.Index(first.Index)
+	var want []diffHit
 	for qi, q := range queries {
-		qi := qi
-		decision.Index.Query(q, func(id int32) { want = append(want, hit{qi, id}) })
+		ids, _ := doIDs(t, chosen, q)
+		for _, id := range ids {
+			want = append(want, diffHit{qi, id})
+		}
 	}
 	for _, w := range []int{1, 3, 6} {
-		var got []hit
-		_, d := m.Engine.Run(queries, w, func(q int, id int32) { got = append(got, hit{q, id}) })
-		if d.Index != decision.Index {
-			t.Fatalf("workers=%d: plan flipped from %s to %s", w, decision.Index.Name(), d.Index.Name())
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d hits, want %d", w, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: hit %d diverged", w, i)
-			}
+		got, _ := sessionBatch(t, sess, queries, w)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: routed hits diverged from %s's serial run", w, chosen.Name())
 		}
 	}
 }

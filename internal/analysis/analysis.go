@@ -34,8 +34,8 @@ type Analyzer struct {
 	Run  func(*Pass) error
 
 	// ExemptTests removes _test.go files from Pass.Files before Run: the
-	// analyzer's contract doesn't apply to test code (regression tests
-	// exercising deprecated APIs, benchmark loops without cancellation).
+	// analyzer's contract doesn't apply to test code (benchmark loops
+	// without cancellation, say).
 	// Scoping the exemption per analyzer keeps every other check live on
 	// test files.
 	ExemptTests bool

@@ -68,19 +68,16 @@ type Model struct {
 	// RTree is the element-level R-tree baseline, with fanout equal to the
 	// FLAT page size so node reads and page reads are comparable.
 	RTree *rtree.Tree
-	// Engine is the unified query layer over the circuit as built: the FLAT,
-	// R-tree, grid and sharded contenders behind one engine.SpatialIndex
-	// interface, with the stats-driven planner routing batches between them.
-	// The walkthrough/prefetch harnesses and the legacy experiment tables
-	// query through it; it serves the initial build (epoch 0) and is not
-	// affected by Mutate — mutable reads go through Session/Do/DoBatch.
-	Engine *engine.Planner
-	// Dataset is the model's mutable ownership layer: the same four
-	// contenders as epoch-0 bases of an engine.Dataset, so batched mutations
-	// (Mutate) publish new snapshot epochs and sessions pin consistent
-	// views. Compaction rebuilds fresh contender instances; Engine, Flat and
-	// RTree above keep serving the initial build.
+	// Dataset is the model's mutable ownership layer: the FLAT, R-tree, grid
+	// and sharded contenders as epoch-0 bases of an engine.Dataset, so
+	// batched mutations (Mutate) publish new snapshot epochs and sessions
+	// pin consistent views. Compaction rebuilds fresh contender instances;
+	// EngineIndex, Flat and RTree keep serving the initial build.
 	Dataset *engine.Dataset
+	// bases are the epoch-0 contenders behind EngineIndex, in Dataset
+	// configuration order. The walkthrough/prefetch harnesses and the
+	// per-index experiment tables query them; Mutate does not affect them.
+	bases []engine.SpatialIndex
 	// session is the model's query front door: a Session pinned to the
 	// Dataset's latest snapshot, re-pinned (under sessMu) after every
 	// Mutate/Compact.
@@ -199,10 +196,12 @@ func (m *Model) DoBatch(ctx context.Context, reqs []engine.Request, workers int)
 }
 
 // EngineIndex returns the named engine contender ("flat", "rtree", "grid",
-// "sharded").
+// "sharded") of the initial build (epoch 0).
 func (m *Model) EngineIndex(name string) (engine.SpatialIndex, error) {
-	if ix := m.Engine.Index(name); ix != nil {
-		return ix, nil
+	for _, ix := range m.bases {
+		if ix.Name() == name {
+			return ix, nil
+		}
 	}
 	return nil, fmt.Errorf("core: unknown engine index %q (have flat, rtree, grid, sharded)", name)
 }
@@ -248,9 +247,8 @@ func NewModel(c *circuit.Circuit, opts Options) (*Model, error) {
 	if err := es.Build(items); err != nil {
 		return nil, fmt.Errorf("core: building sharded index: %w", err)
 	}
-	eflat := engine.WrapFlat(f)
-	planner := engine.NewPlanner(eflat, ert, eg, es)
-	// The same contender instances double as the dataset's epoch-0 bases:
+	bases := []engine.SpatialIndex{engine.WrapFlat(f), ert, eg, es}
+	// The contender instances double as the dataset's epoch-0 bases:
 	// snapshots share them read-only, and compactions build fresh ones from
 	// the options below.
 	ds, err := engine.NewDataset(items, engine.DatasetOptions{
@@ -261,12 +259,12 @@ func NewModel(c *circuit.Circuit, opts Options) (*Model, error) {
 		Shards:       opts.Shards,
 		CompactMin:   opts.DatasetCompactMin,
 		CompactRatio: opts.DatasetCompactRatio,
-		Bases:        []engine.SpatialIndex{eflat, ert, eg, es},
+		Bases:        bases,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: building dataset: %w", err)
 	}
-	m := &Model{Circuit: c, Flat: f, RTree: rt, Engine: planner, Dataset: ds, opts: opts}
+	m := &Model{Circuit: c, Flat: f, RTree: rt, Dataset: ds, bases: bases, opts: opts}
 	if err := m.repin(); err != nil {
 		return nil, err
 	}
@@ -313,7 +311,7 @@ type QueryComparison struct {
 // should.
 func (m *Model) CompareRangeQuery(q geom.AABB) QueryComparison {
 	var cmp QueryComparison
-	eflat, ertree := m.Engine.Index("flat"), m.Engine.Index("rtree")
+	eflat, ertree := m.bases[0], m.bases[1]
 	req := engine.RangeRequest(q)
 	run := func(ix engine.SpatialIndex) (engine.QueryStats, int, time.Duration) {
 		start := time.Now()

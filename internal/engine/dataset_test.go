@@ -750,8 +750,8 @@ func TestDatasetValidation(t *testing.T) {
 
 // TestDatasetProbeLeavesAttachedPoolUntouched extends the planner's
 // cold-probe guarantee to snapshot views: a dataset session's calibration
-// probes read the base index's pages, so they must detach a PageSource
-// attached to the base — not warm it.
+// probes read the base index's in-memory store, so a pool another session
+// reads the same view through is neither warmed nor counted against.
 func TestDatasetProbeLeavesAttachedPoolUntouched(t *testing.T) {
 	items := testItems(t, 8, 7009)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
@@ -763,10 +763,13 @@ func TestDatasetProbeLeavesAttachedPoolUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.SetSource(pool)
 	ds, err := engine.NewDataset(items, engine.DatasetOptions{
 		Contenders: []string{"flat"}, Bases: []engine.SpatialIndex{base},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := engine.Open(engine.WithIndex(ds.Current().Index("flat")), engine.WithPageSource(pool))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -774,18 +777,22 @@ func TestDatasetProbeLeavesAttachedPoolUntouched(t *testing.T) {
 	for _, q := range []float64{10, 20, 30, 40} {
 		reqs = append(reqs, engine.RangeRequest(geom.BoxAround(vol.Center(), q)))
 	}
+	if _, err := pooled.Do(context.Background(), reqs[0]); err != nil {
+		t.Fatal(err)
+	}
+	warm, warmLen := pool.Stats(), pool.Len()
+	if warm.DemandReads == 0 {
+		t.Fatal("pooled session read nothing through its pool")
+	}
 	d := ds.Current().Planner().PlanKind(engine.Range, reqs)
 	if len(d.Probed) != 1 {
 		t.Fatalf("first plan probed %v, want the one unprofiled view", d.Probed)
 	}
-	if st := pool.Stats(); st != (pager.Stats{}) {
-		t.Fatalf("snapshot-view probe perturbed the base's attached pool: %+v", st)
+	if st := pool.Stats(); st != warm {
+		t.Fatalf("snapshot-view probe perturbed a session's pool: %+v, was %+v", st, warm)
 	}
-	if pool.Len() != 0 {
-		t.Fatalf("snapshot-view probe populated the base's attached pool with %d pages", pool.Len())
-	}
-	if base.Source() != pool {
-		t.Fatal("snapshot-view probe did not restore the base's attached source")
+	if pool.Len() != warmLen {
+		t.Fatalf("snapshot-view probe changed a session's pool from %d to %d pages", warmLen, pool.Len())
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package engine is the unified query-execution layer over the repository's
 // spatial indexes — the common face the paper's demo implies: FLAT, the
 // R-tree baseline and a thin grid index all serve the *same* interactive
-// range-query workload, so harnesses, drivers and the walkthrough simulator
-// talk to one SpatialIndex interface and treat the concrete index as a
+// query workload, so harnesses, drivers and the walkthrough simulator talk
+// to one SpatialIndex interface and treat the concrete index as a
 // configuration, not a call site.
 //
 // The layering (bottom to top):
@@ -10,25 +10,28 @@
 //	index     flat.Index, rtree.Tree(+PagedTree), grid.Grid  — structures;
 //	          Sharded composes any of them into K spatial shards with
 //	          scatter-gather execution (shard.Partition)
-//	storage   pager.Store / pager.BufferPool via pager.PageSource — every
-//	          index reads data pages through a PageSource, so the buffer
-//	          pool + prefetch/SCOUT stack sits beneath any of them
-//	execution parallel.Batch / parallel.BatchCtx — one generic deterministic
-//	          batch executor (slot-ordered visits, identical-to-serial
-//	          guarantee, context cancellation)
-//	harness   experiments E1–E9, cmd drivers, prefetch.Simulator
+//	storage   pager.Store / pager.BufferPool / durable segments via
+//	          pager.PageSource — every index reads data pages through a
+//	          PageSource that is an argument of each execution, never index
+//	          state
+//	execution parallel.BatchCtx — one generic deterministic batch executor
+//	          (slot-ordered visits, identical-to-serial guarantee, context
+//	          cancellation)
+//	harness   experiments E1–E13, cmd drivers, prefetch.Simulator
 //
 // The public front door is the Request/Session surface: a tagged Request
 // (Range, KNN, Point, WithinDistance) executed through a Session (Open /
 // Do / DoBatch) with context cancellation checked at page-read granularity,
-// routed either to a fixed contender or per-kind through the Planner. The
-// range-only SpatialIndex.Query/BatchQuery methods remain as thin deprecated
-// wrappers for the pre-Request call sites.
+// routed either to a fixed contender or per-kind through the Planner.
 //
-// Every wrapper in this package also satisfies prefetch.Served, so a
-// walkthrough with prefetching can run over any index, and the Planner
-// routes batches or walkthrough sequences to an index using observed
-// per-(index, kind) cost statistics (internal/stats.Running).
+// Each contender has one execution path: Do reads through the index's fixed
+// home source (its own store, or the durable segment it was thawed onto),
+// planner calibration probes read the in-memory store, and a
+// WithIndex+WithPageSource session reads through the caller's source — the
+// same traversal in every case, with the source travelling with the call.
+// Every paged wrapper also satisfies prefetch.Served, whose PagedQuery takes
+// the walkthrough's buffer pool as an argument, so a walkthrough with
+// prefetching can run over any index.
 package engine
 
 import (
@@ -36,7 +39,6 @@ import (
 
 	"neurospatial/internal/geom"
 	"neurospatial/internal/pager"
-	"neurospatial/internal/parallel"
 	"neurospatial/internal/rtree"
 )
 
@@ -164,11 +166,6 @@ func Aggregate(sts []QueryStats) QueryStats {
 // identical across contenders, shard counts and worker counts — with
 // cancellation observed at page-read granularity where the kind reads pages.
 //
-// All implementations are deterministic: Do and Query emit hits in a fixed
-// order, and BatchQuery emits exactly the (query, id) pairs a serial loop of
-// Query calls would produce, in the same order, for any worker count (the
-// parallel.Batch guarantee).
-//
 // Item IDs must be dense in [0, NumItems()); they are the IDs reported by
 // queries — the same contract flat.Build imposes.
 type SpatialIndex interface {
@@ -191,32 +188,19 @@ type SpatialIndex interface {
 	// page. Do returns no resume cursor — paging callers go through
 	// Session.Do (which mints one) or Stream + NextCursor.
 	Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error)
-	// Query reports the IDs of all items whose boxes intersect q, in the
-	// index's native order.
-	//
-	// Deprecated: Query predates the Request surface; new call sites should
-	// route through Session.Do (or Do directly) with a Range request, which
-	// adds cancellation and canonical ordering. Kept thin so existing call
-	// sites compile.
-	Query(q geom.AABB, visit func(id int32)) QueryStats
-	// BatchQuery executes many queries with the usual Workers semantics
-	// (0 or 1 serial, > 1 that many workers, negative one per CPU).
-	//
-	// Deprecated: BatchQuery predates the Request surface; new call sites
-	// should route through Session.DoBatch, which adds cancellation,
-	// mixed-kind batches and canonical ordering. Kept thin so existing call
-	// sites compile.
-	BatchQuery(qs []geom.AABB, workers int, visit func(qi int, id int32)) []QueryStats
 }
 
 // Paged is the storage capability of the engine indexes: element data lives
-// on pager pages read through a swappable PageSource, and the page geometry
-// is exposed for prefetchers (all three methods prefetch.PageGeometry
-// needs). Every index in this package implements it.
+// on pager pages, and the page geometry is exposed for prefetchers (all
+// three methods prefetch.PageGeometry needs). Every index in this package
+// implements it. Page reads go through a source chosen per call: Do uses
+// the index's home source, and a WithIndex session can substitute its own
+// (WithPageSource) — the index itself holds no swappable read path.
 type Paged interface {
 	SpatialIndex
-	// Store returns the index's page store (wrap it in a pager.BufferPool
-	// and SetSource the pool to run cached).
+	// Store returns the index's in-memory page store (wrap it in a
+	// pager.BufferPool and pass it to WithPageSource or PagedQuery to run
+	// cached).
 	Store() *pager.Store
 	// NumPages returns the number of data pages.
 	NumPages() int
@@ -224,24 +208,72 @@ type Paged interface {
 	PageOf(id int32) pager.PageID
 	// PagesInRange returns the pages a query of box q would touch.
 	PagesInRange(q geom.AABB) []pager.PageID
-	// SetSource routes subsequent Query/BatchQuery page reads through src
-	// (nil restores cold reads from the index's own store).
-	SetSource(src pager.PageSource)
-	// Source returns the currently attached PageSource (nil when reads go
-	// cold to the index's own store). The planner uses it to route
-	// calibration probes around an attached buffer pool and restore it.
-	Source() pager.PageSource
-	// PagedQuery executes one query reading through the given pool — the
-	// prefetch.Served walkthrough path; the pool's counters are the record.
+	// PagedQuery executes one range query reading through the given pool —
+	// the prefetch.Served walkthrough path; the pool's counters are the
+	// record. Hits are emitted in the index's native traversal order.
 	PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(id int32))
 }
 
-// batchQuery adapts a per-query runner onto the shared generic executor.
-func batchQuery(workers int, qs []geom.AABB,
-	run func(q geom.AABB, emit func(int32)) QueryStats,
-	visit func(qi int, id int32)) []QueryStats {
+// contender is the one execution path of every engine index and snapshot
+// view: Do and the streaming iterate with the page source as an argument of
+// the call. The exported Do passes homeSrc(); planner probes pass
+// coldSrc(), the in-memory store, so calibration never touches a pool or
+// a disk segment; a WithPageSource session passes the caller's source.
+type contender interface {
+	SpatialIndex
+	// homeSrc is the fixed source Do reads through: the index's own
+	// store after Build, the durable segment after OpenDataset. Sharded
+	// returns nil: each of its shards reads its own home.
+	homeSrc() pager.PageSource
+	// coldSrc is the in-memory store (nil before Build or when empty).
+	coldSrc() pager.PageSource
+	// do is Do reading through src.
+	do(ctx context.Context, src pager.PageSource, req Request, visit func(Hit)) (QueryStats, error)
+	// iterate returns a HitIterator over req's hits strictly after the
+	// resume position (nil = from the start), reading through src. req
+	// carries no pagination fields — Stream strips them; after is the
+	// decoded cursor. Implementations must emit the canonical per-kind
+	// order and must not emit hits at or before after.
+	iterate(ctx context.Context, src pager.PageSource, req Request, after *Hit) (HitIterator, error)
+}
 
-	return parallel.Batch(workers, len(qs), func(qi int, emit func(int32)) QueryStats {
-		return run(qs[qi], emit)
-	}, visit)
+// pagedContender is a paged engine contender: every shard's sub-index, and
+// every contender a durable snapshot thaws.
+type pagedContender interface {
+	Paged
+	contender
+}
+
+// storeSource converts a possibly nil store to a PageSource without
+// producing a non-nil interface around a nil pointer.
+func storeSource(s *pager.Store) pager.PageSource {
+	if s == nil {
+		return nil
+	}
+	return s
+}
+
+// homeOf is ix's home source when ix is an engine contender, else nil.
+func homeOf(ix SpatialIndex) pager.PageSource {
+	if c, ok := ix.(contender); ok {
+		return c.homeSrc()
+	}
+	return nil
+}
+
+// coldOf is ix's in-memory store when ix is an engine contender, else nil.
+func coldOf(ix SpatialIndex) pager.PageSource {
+	if c, ok := ix.(contender); ok {
+		return c.coldSrc()
+	}
+	return nil
+}
+
+// doVia runs req on ix through src when ix is an engine contender; any other
+// SpatialIndex owns its reads and runs through its own Do.
+func doVia(ctx context.Context, ix SpatialIndex, src pager.PageSource, req Request, visit func(Hit)) (QueryStats, error) {
+	if c, ok := ix.(contender); ok {
+		return c.do(ctx, src, req, visit)
+	}
+	return ix.Do(ctx, req, visit)
 }

@@ -1,12 +1,13 @@
 package engine_test
 
 // The engine differential harness: for every index behind
-// engine.SpatialIndex, the engine-routed Query and BatchQuery (at any worker
-// count) must emit exactly the hits, in the same order, with the same
-// per-query stats, as a direct serial call — and all contenders must agree
-// on the result set, with the direct flat/rtree implementations as oracles.
+// engine.SpatialIndex, Do and Session.DoBatch (at any worker count) must
+// emit exactly the hits, in the same order, with the same per-query stats,
+// as a direct serial call — and all contenders must agree on the result
+// set, with the direct flat/rtree implementations as oracles.
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -88,6 +89,46 @@ type hit struct {
 	id int32
 }
 
+// rangeIDs runs one Range request through ix.Do and returns the hit IDs, in
+// Do's canonical ascending order, with the stats.
+func rangeIDs(t testing.TB, ix engine.SpatialIndex, q geom.AABB) ([]int32, engine.QueryStats) {
+	t.Helper()
+	var ids []int32
+	st, err := ix.Do(context.Background(), engine.RangeRequest(q), func(h engine.Hit) { ids = append(ids, h.ID) })
+	if err != nil {
+		t.Fatalf("%s: %v", ix.Name(), err)
+	}
+	return ids, st
+}
+
+// rangeRequests wraps boxes as Range requests.
+func rangeRequests(qs []geom.AABB) []engine.Request {
+	reqs := make([]engine.Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = engine.RangeRequest(q)
+	}
+	return reqs
+}
+
+// batchHits runs reqs through a session's DoBatch and flattens the results
+// into (query, id) pairs plus the per-request stats.
+func batchHits(t testing.TB, sess *engine.Session, reqs []engine.Request, workers int) ([]hit, []engine.QueryStats) {
+	t.Helper()
+	results, err := sess.DoBatch(context.Background(), reqs, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits []hit
+	sts := make([]engine.QueryStats, len(results))
+	for qi, r := range results {
+		for _, h := range r.Hits {
+			hits = append(hits, hit{qi, h.ID})
+		}
+		sts[qi] = r.Stats
+	}
+	return hits, sts
+}
+
 // TestEngineIndexesAgree asserts all three contenders report the same hit
 // set per query, with direct flat and rtree implementations as oracles.
 func TestEngineIndexesAgree(t *testing.T) {
@@ -109,9 +150,7 @@ func TestEngineIndexesAgree(t *testing.T) {
 			nonEmpty++
 		}
 		for _, ix := range indexes {
-			var got []int32
-			st := ix.Query(q, func(id int32) { got = append(got, id) })
-			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+			got, st := rangeIDs(t, ix, q)
 			if !reflect.DeepEqual(got, oracle) {
 				t.Errorf("query %d: %s returned %d hits, oracle %d (or content differs)",
 					qi, ix.Name(), len(got), len(oracle))
@@ -127,8 +166,8 @@ func TestEngineIndexesAgree(t *testing.T) {
 }
 
 // TestEngineMatchesDirectCalls asserts the engine wrappers reproduce the
-// direct index calls exactly: same hits, same order, same native stats under
-// the documented mapping.
+// direct index calls exactly: same hits (in Do's ascending order), same
+// native stats under the documented mapping.
 func TestEngineMatchesDirectCalls(t *testing.T) {
 	items := testItems(t, 12, 2002)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
@@ -143,8 +182,8 @@ func TestEngineMatchesDirectCalls(t *testing.T) {
 		for qi, q := range queries {
 			var want []int32
 			ds := direct.Query(q, nil, func(id int32) { want = append(want, id) })
-			var got []int32
-			es := ix.Query(q, func(id int32) { got = append(got, id) })
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			got, es := rangeIDs(t, ix, q)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("query %d: hit sequence diverged from direct call", qi)
 			}
@@ -168,8 +207,8 @@ func TestEngineMatchesDirectCalls(t *testing.T) {
 		for qi, q := range queries {
 			var want []int32
 			ds := direct.Query(q, func(it rtree.Item) { want = append(want, it.ID) })
-			var got []int32
-			es := ix.Query(q, func(id int32) { got = append(got, id) })
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			got, es := rangeIDs(t, ix, q)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("query %d: hit sequence diverged from direct call", qi)
 			}
@@ -182,29 +221,32 @@ func TestEngineMatchesDirectCalls(t *testing.T) {
 }
 
 // TestEngineBatchMatchesSerial is the acceptance differential: for each
-// index, BatchQuery at any worker count emits exactly the hits and
-// per-query stats of the serial Query loop — also when reads go through a
-// shared buffer pool.
+// index, Session.DoBatch at any worker count emits exactly the hits and
+// per-query stats of the serial Do loop — also when the session reads
+// through a buffer pool of its own.
 func TestEngineBatchMatchesSerial(t *testing.T) {
 	items := testItems(t, 12, 3003)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
 	queries := testQueries(vol, 24)
+	reqs := rangeRequests(queries)
 
 	for _, ix := range buildIndexes(t, items) {
 		t.Run(ix.Name(), func(t *testing.T) {
 			var want []hit
 			var wantStats []engine.QueryStats
 			for qi, q := range queries {
-				qi := qi
-				wantStats = append(wantStats, ix.Query(q, func(id int32) {
+				ids, st := rangeIDs(t, ix, q)
+				for _, id := range ids {
 					want = append(want, hit{qi, id})
-				}))
+				}
+				wantStats = append(wantStats, st)
+			}
+			sess, err := engine.Open(engine.WithIndex(ix))
+			if err != nil {
+				t.Fatal(err)
 			}
 			for _, w := range []int{1, 2, 4, 7} {
-				var got []hit
-				gotStats := ix.BatchQuery(queries, w, func(q int, id int32) {
-					got = append(got, hit{q, id})
-				})
+				got, gotStats := batchHits(t, sess, reqs, w)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("workers=%d: hit sequence diverged from serial (%d vs %d hits)",
 						w, len(got), len(want))
@@ -217,8 +259,8 @@ func TestEngineBatchMatchesSerial(t *testing.T) {
 				}
 			}
 
-			// Through a shared pool the hit stream must still match; the
-			// pool must see traffic and keep its accounting identity.
+			// Through a session's own pool the hit stream must still match;
+			// the pool must see traffic.
 			paged := ix.(engine.Paged)
 			if paged.Store() == nil {
 				t.Fatal("no page store under the index")
@@ -228,12 +270,11 @@ func TestEngineBatchMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				paged.SetSource(pool)
-				var got []hit
-				ix.BatchQuery(queries, w, func(q int, id int32) {
-					got = append(got, hit{q, id})
-				})
-				paged.SetSource(nil)
+				pooled, err := engine.Open(engine.WithIndex(ix), engine.WithPageSource(pool))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _ := batchHits(t, pooled, reqs, w)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("pooled workers=%d: hit sequence diverged", w)
 				}
@@ -246,17 +287,18 @@ func TestEngineBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPlannerRoutesAndMatches asserts the planner's routed execution equals
-// the chosen index's own serial output, that every contender is costed, and
+// TestPlannerRoutesAndMatches asserts planner-routed execution equals the
+// chosen index's own serial output, that every contender is costed, and
 // that observed history accumulates.
 func TestPlannerRoutesAndMatches(t *testing.T) {
 	items := testItems(t, 10, 4004)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
 	queries := testQueries(vol, 16)
+	reqs := rangeRequests(queries)
 	indexes := buildIndexes(t, items)
 	p := engine.NewPlanner(indexes...)
 
-	sts, d := p.Run(queries, 4, nil)
+	d := p.PlanKind(engine.Range, reqs)
 	if d.Index == nil {
 		t.Fatal("no index chosen")
 	}
@@ -272,44 +314,42 @@ func TestPlannerRoutesAndMatches(t *testing.T) {
 		}
 	}
 
-	// Routed output == chosen index direct serial output. The first Run's
-	// Observe may legitimately re-rank the contenders (the probe sample is
-	// only a prefix of the batch), so predict the next choice with Plan —
-	// it reads history without mutating it — and diff against that index.
-	next := p.Plan(queries)
-	if len(next.Probed) != 0 {
-		t.Fatalf("replan re-probed %v despite learned history", next.Probed)
+	// Routed output == chosen index direct serial output. Routing replans
+	// from the learned history, so it must not probe again.
+	probes := p.ProbesRun()
+	sess, err := engine.Open(engine.WithPlanner(p))
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, sts := batchHits(t, sess, reqs, 2)
+	if p.ProbesRun() != probes {
+		t.Fatalf("routed batch re-probed (%d probes, was %d) despite learned history", p.ProbesRun(), probes)
+	}
+	res, err := sess.Do(context.Background(), reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	chosen := p.Index(res.Index)
 	var want []hit
-	wantStats := make([]engine.QueryStats, 0, len(queries))
 	for qi, q := range queries {
-		qi := qi
-		wantStats = append(wantStats, next.Index.Query(q, func(id int32) {
+		ids, st := rangeIDs(t, chosen, q)
+		for _, id := range ids {
 			want = append(want, hit{qi, id})
-		}))
-	}
-	var got []hit
-	sts2, d2 := p.Run(queries, 2, func(q int, id int32) { got = append(got, hit{q, id}) })
-	if d2.Index != next.Index {
-		t.Fatalf("replan diverged from Plan: %s then %s", next.Index.Name(), d2.Index.Name())
+		}
+		if sts[qi].Results != st.Results || sts[qi].PagesRead != st.PagesRead {
+			t.Errorf("query %d: routed stats diverged", qi)
+		}
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("planner-routed hits diverged from chosen index's serial run")
 	}
-	for qi := range wantStats {
-		if sts2[qi].Results != wantStats[qi].Results || sts2[qi].PagesRead != wantStats[qi].PagesRead {
-			t.Errorf("query %d: routed stats diverged", qi)
-		}
-	}
-	_ = sts
-
-	if _, ok := p.Selectivity(d.Index.Name()); !ok {
+	if _, ok := p.SelectivityKind(chosen.Name(), engine.Range); !ok {
 		t.Error("no selectivity history for the executed index")
 	}
 }
 
-// TestPlannerSequenceRouting exercises PlanSequence over a walkthrough-like
-// box series.
+// TestPlannerSequenceRouting routes a walkthrough-like box series as one
+// Range sample.
 func TestPlannerSequenceRouting(t *testing.T) {
 	items := testItems(t, 8, 5005)
 	indexes := buildIndexes(t, items)
@@ -319,7 +359,7 @@ func TestPlannerSequenceRouting(t *testing.T) {
 	for i := range boxes {
 		boxes[i] = geom.BoxAround(geom.V(40+float64(i)*12, 100, 100), 15)
 	}
-	d := p.Plan(boxes)
+	d := p.PlanKind(engine.Range, rangeRequests(boxes))
 	if d.Index == nil || len(d.CostPerQuery) != len(indexes) {
 		t.Fatalf("bad decision %+v", d)
 	}

@@ -22,11 +22,9 @@ type Flat struct {
 	// boxOf is the exact-geometry accessor bound once per build (a per-query
 	// method value would be a hot-path allocation).
 	boxOf func(int32) geom.AABB
-	src   pager.PageSource
-	// probeMu is the per-instance probe-execution lock (see planner.go):
-	// planners sharing this instance serialize their calibration probes on
-	// it, since a probe detaches and restores src.
-	probeMu sync.Mutex //neurospatial:lock flat.probe
+	// home is the source Do reads through: the index's own store, or the
+	// durable segment it was thawed onto. Fixed at construction.
+	home pager.PageSource
 	// zoneMu guards the lazily derived zone map of the current build.
 	zoneMu sync.Mutex //neurospatial:lock flat.zone
 	zones  []idZone
@@ -37,7 +35,7 @@ func NewFlat(opts flat.Options) *Flat { return &Flat{opts: opts} }
 
 // WrapFlat adapts an already-built flat.Index.
 func WrapFlat(idx *flat.Index) *Flat {
-	return &Flat{opts: idx.Options(), idx: idx, boxOf: idx.ItemBox}
+	return &Flat{opts: idx.Options(), idx: idx, boxOf: idx.ItemBox, home: idx.Store()}
 }
 
 // Inner returns the wrapped flat.Index (nil before Build).
@@ -46,15 +44,13 @@ func (f *Flat) Inner() *flat.Index { return f.idx }
 // Name implements SpatialIndex.
 func (f *Flat) Name() string { return "flat" }
 
-// Build implements SpatialIndex. Rebuilding restores cold reads from the
-// new store: an attached PageSource is dropped, since a pool wrapping the
-// previous store would serve stale pages.
+// Build implements SpatialIndex; the new store becomes the home source.
 func (f *Flat) Build(items []rtree.Item) error {
 	idx, err := flat.Build(items, f.opts)
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	f.idx, f.src, f.boxOf = idx, nil, idx.ItemBox
+	f.idx, f.home, f.boxOf = idx, idx.Store(), idx.ItemBox
 	f.zoneMu.Lock()
 	f.zones = nil
 	f.zoneMu.Unlock()
@@ -82,17 +78,17 @@ func (f *Flat) zoneMap() []idZone {
 // node accesses, and Reseeds stays 0 (the zone-map order replaces the
 // crawl); PagesRead accounting is identical on a full drain. KNN serves the
 // bounded best-first scan eagerly.
-func (f *Flat) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
+func (f *Flat) iterate(ctx context.Context, src pager.PageSource, req Request, after *Hit) (HitIterator, error) {
 	if f.idx == nil {
 		return &sliceIter{}, ctxErr(ctx)
 	}
 	if req.Kind == KNN {
 		return knnEager(func(visit func(Hit)) (QueryStats, error) {
-			return f.doKNN(ctx, req.Center, req.K, visit)
+			return f.doKNN(ctx, src, req.Center, req.K, visit)
 		}, KNN, after)
 	}
 	pages := f.idx.PagesInRange(queryBox(req))
-	ps := newPageStream(ctx, f.srcOrStore(), pages, f.zoneMap(), after,
+	ps := newPageStream(ctx, src, pages, f.zoneMap(), after,
 		acceptFor(req, f.boxOf))
 	if req.Kind == Range || req.Kind == Point {
 		ps.useCoords(f.idx.Coords(), queryBox(req))
@@ -127,15 +123,6 @@ func fromFlat(s flat.QueryStats) QueryStats {
 	}
 }
 
-// srcOrStore resolves the attached PageSource, falling back to cold reads
-// from the index's own store.
-func (f *Flat) srcOrStore() pager.PageSource {
-	if f.src != nil {
-		return f.src
-	}
-	return f.idx.Store()
-}
-
 // rangeIDs runs the native range traversal (seed + crawl), gathering ids into
 // the pooled collector, with cancellation checked at every data-page read.
 // The caller owns releasing col regardless of error. The background-context
@@ -144,15 +131,15 @@ func (f *Flat) srcOrStore() pager.PageSource {
 // per-call allocation the zero-alloc path cannot afford.
 //
 //neurospatial:hotpath
-func (f *Flat) rangeIDs(ctx context.Context, q geom.AABB, col *idCollector) (QueryStats, error) {
+func (f *Flat) rangeIDs(ctx context.Context, src pager.PageSource, q geom.AABB, col *idCollector) (QueryStats, error) {
 	if !cancelable(ctx) {
-		return fromFlat(f.idx.QueryVia(q, f.srcOrStore(), col.visit)), nil
+		return fromFlat(f.idx.QueryVia(q, src, col.visit)), nil
 	}
-	src := &ctxSource{ctx: ctx, src: f.srcOrStore()}
+	csrc := &ctxSource{ctx: ctx, src: src}
 	var st QueryStats
 	//lint:ignore hotpath the catchCancel closure is the cancelable path's one per-call allocation; the background path above skips it
 	err := catchCancel(func() {
-		st = fromFlat(f.idx.QueryVia(q, src, col.visit))
+		st = fromFlat(f.idx.QueryVia(q, csrc, col.visit))
 	})
 	if err != nil {
 		return QueryStats{}, err
@@ -166,11 +153,16 @@ func (f *Flat) rangeIDs(ctx context.Context, q geom.AABB, col *idCollector) (Que
 // Dist2Point test); KNN runs a best-first scan over the page directory:
 // page MBRs are ordered by squared distance to the center (those bound
 // evaluations are the RAM-resident IndexReads of the record), pages are read
-// through the configured source nearest-first, and the scan stops as soon as
+// through the call's source nearest-first, and the scan stops as soon as
 // the next page's lower bound exceeds the current k-th distance.
+func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
+	return f.do(ctx, f.home, req, visit)
+}
+
+// do is Do reading data pages through src.
 //
 //neurospatial:hotpath
-func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
+func (f *Flat) do(ctx context.Context, src pager.PageSource, req Request, visit func(Hit)) (QueryStats, error) {
 	if err := req.Validate(); err != nil {
 		return QueryStats{}, err
 	}
@@ -184,7 +176,7 @@ func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats
 		return QueryStats{}, err
 	}
 	if req.paginated() {
-		return doPaginated(ctx, f, req, visit)
+		return doPaginated(ctx, f, src, req, visit)
 	}
 	switch req.Kind {
 	case Range, Point:
@@ -194,7 +186,7 @@ func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats
 		}
 		col := getIDCollector()
 		defer putIDCollector(col)
-		st, err := f.rangeIDs(ctx, q, col)
+		st, err := f.rangeIDs(ctx, src, q, col)
 		if err != nil {
 			return QueryStats{}, err
 		}
@@ -203,7 +195,7 @@ func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats
 	case WithinDistance:
 		col := getIDCollector()
 		defer putIDCollector(col)
-		st, err := f.rangeIDs(ctx, geom.BoxAround(req.Center, req.Radius), col)
+		st, err := f.rangeIDs(ctx, src, geom.BoxAround(req.Center, req.Radius), col)
 		if err != nil {
 			return QueryStats{}, err
 		}
@@ -212,7 +204,7 @@ func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats
 		st.EntriesTested += tested
 		return st, nil
 	case KNN:
-		return f.doKNN(ctx, req.Center, req.K, visit)
+		return f.doKNN(ctx, src, req.Center, req.K, visit)
 	}
 	return QueryStats{}, &RequestError{Kind: req.Kind, Field: "Kind", Reason: "is not a known query kind"}
 }
@@ -221,7 +213,7 @@ func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats
 // top-k accumulator are pooled; hits are emitted by value before release.
 //
 //neurospatial:hotpath
-func (f *Flat) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hit)) (QueryStats, error) {
+func (f *Flat) doKNN(ctx context.Context, src pager.PageSource, center geom.Vec, k int, visit func(Hit)) (QueryStats, error) {
 	var st QueryStats
 	np := f.idx.NumPages()
 	orderBuf := getPageBounds()
@@ -233,7 +225,6 @@ func (f *Flat) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hit
 	*orderBuf = order
 	slices.SortFunc(order, cmpPageBound)
 	st.IndexReads = int64(np)
-	src := f.srcOrStore()
 	acc := getKNNAcc(k)
 	defer putKNNAcc(acc)
 	for _, pb := range order {
@@ -255,34 +246,6 @@ func (f *Flat) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hit
 		visit(h)
 	}
 	return st, nil
-}
-
-// queryNative implements nativeQuerier: one range query reading data pages
-// through the configured source (cold store reads by default).
-func (f *Flat) queryNative(q geom.AABB, visit func(int32)) QueryStats {
-	if f.idx == nil {
-		return QueryStats{}
-	}
-	return fromFlat(f.idx.QueryVia(q, f.src, visit))
-}
-
-// Query implements SpatialIndex.
-//
-// Deprecated: route new call sites through Session.Do with a Range request.
-func (f *Flat) Query(q geom.AABB, visit func(int32)) QueryStats {
-	return f.queryNative(q, visit)
-}
-
-// BatchQuery implements SpatialIndex via the shared deterministic executor.
-//
-// Deprecated: route new call sites through Session.DoBatch.
-func (f *Flat) BatchQuery(qs []geom.AABB, workers int, visit func(int, int32)) []QueryStats {
-	if f.idx == nil {
-		return make([]QueryStats, len(qs))
-	}
-	return batchQuery(workers, qs, func(q geom.AABB, emit func(int32)) QueryStats {
-		return fromFlat(f.idx.QueryVia(q, f.src, emit))
-	}, visit)
 }
 
 // Store implements Paged (nil before Build).
@@ -317,14 +280,11 @@ func (f *Flat) PagesInRange(q geom.AABB) []pager.PageID {
 	return f.idx.PagesInRange(q)
 }
 
-// SetSource implements Paged.
-func (f *Flat) SetSource(src pager.PageSource) { f.src = src }
+// homeSrc implements contender.
+func (f *Flat) homeSrc() pager.PageSource { return f.home }
 
-// probeLock implements the planner's probeLocker hook.
-func (f *Flat) probeLock() *sync.Mutex { return &f.probeMu }
-
-// Source implements Paged.
-func (f *Flat) Source() pager.PageSource { return f.src }
+// coldSrc implements contender.
+func (f *Flat) coldSrc() pager.PageSource { return storeSource(f.Store()) }
 
 // PagedQuery implements Paged (and prefetch.Served).
 func (f *Flat) PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(int32)) {

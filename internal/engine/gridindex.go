@@ -37,7 +37,7 @@ func (o GridOptions) sanitize() GridOptions {
 // order so spatially close items share pages. A query inspects the cells
 // overlapping the range expanded by the largest item half-extent (the
 // standard center-assignment correction), reads each candidate's data page
-// through the configured PageSource, and refines against the exact box.
+// through the call's PageSource, and refines against the exact box.
 //
 // Stats mapping: IndexReads counts cells inspected (the directory is
 // RAM-resident), PagesRead counts distinct data pages read, EntriesTested
@@ -59,9 +59,9 @@ type Grid struct {
 	// boxOf is the exact-geometry accessor bound once per build (a per-query
 	// closure would be a hot-path allocation).
 	boxOf func(int32) geom.AABB
-	src   pager.PageSource
-	// probeMu is the per-instance probe-execution lock (see planner.go).
-	probeMu sync.Mutex //neurospatial:lock grid.probe
+	// home is the source Do reads through: the index's own store, or the
+	// durable segment it was thawed onto. Fixed at construction.
+	home pager.PageSource
 	// zoneMu guards the lazily derived zone map of the current build.
 	zoneMu sync.Mutex //neurospatial:lock grid.zone
 	zones  []idZone
@@ -73,9 +73,7 @@ func NewGrid(opts GridOptions) *Grid { return &Grid{opts: opts.sanitize()} }
 // Name implements SpatialIndex.
 func (gx *Grid) Name() string { return "grid" }
 
-// Build implements SpatialIndex. Rebuilding restores cold reads from the
-// new store: an attached PageSource is dropped, since a pool wrapping the
-// previous store would serve stale pages.
+// Build implements SpatialIndex; the new store becomes the home source.
 func (gx *Grid) Build(items []rtree.Item) error { return gx.build(items, 0, 0, 0) }
 
 // buildFixed is Build with the cell directory's dimensions pinned instead of
@@ -86,7 +84,7 @@ func (gx *Grid) buildFixed(items []rtree.Item, nx, ny, nz int) error {
 }
 
 func (gx *Grid) build(items []rtree.Item, nx, ny, nz int) error {
-	gx.g, gx.store, gx.pageOf, gx.src = nil, nil, nil, nil
+	gx.g, gx.store, gx.pageOf, gx.home = nil, nil, nil, nil
 	gx.coords, gx.itemOff = nil, nil
 	gx.zoneMu.Lock()
 	gx.zones = nil
@@ -148,6 +146,7 @@ func (gx *Grid) build(items []rtree.Item, nx, ny, nz int) error {
 		}
 	}
 	gx.store = builder.Build()
+	gx.home = gx.store
 	gx.coords = pager.BuildCoords(gx.store, gx.boxOf)
 	return nil
 }
@@ -157,13 +156,6 @@ func (gx *Grid) Bounds() geom.AABB { return gx.bounds }
 
 // NumItems implements SpatialIndex.
 func (gx *Grid) NumItems() int { return len(gx.boxes) }
-
-func (gx *Grid) source() pager.PageSource {
-	if gx.src != nil {
-		return gx.src
-	}
-	return gx.store
-}
 
 // gridRangeScratch is the pooled per-query state of the grid range
 // traversal. The cell visitor closure is bound once per pooled object (a
@@ -258,17 +250,17 @@ func (gx *Grid) zoneMap() []idZone {
 // PagesRead is identical on a full drain. IndexReads counts candidate pages
 // rather than cells inspected. KNN serves the bounded best-first cell scan
 // eagerly.
-func (gx *Grid) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
+func (gx *Grid) iterate(ctx context.Context, src pager.PageSource, req Request, after *Hit) (HitIterator, error) {
 	if gx.g == nil {
 		return &sliceIter{}, ctxErr(ctx)
 	}
 	if req.Kind == KNN {
 		return knnEager(func(visit func(Hit)) (QueryStats, error) {
-			return gx.doKNN(ctx, req.Center, req.K, visit)
+			return gx.doKNN(ctx, src, req.Center, req.K, visit)
 		}, KNN, after)
 	}
 	pages := gx.PagesInRange(queryBox(req))
-	ps := newPageStream(ctx, gx.source(), pages, gx.zoneMap(), after,
+	ps := newPageStream(ctx, src, pages, gx.zoneMap(), after,
 		acceptFor(req, gx.boxOf))
 	if req.Kind == Range || req.Kind == Point {
 		ps.useCoords(gx.coords, queryBox(req))
@@ -282,15 +274,15 @@ func (gx *Grid) iterate(ctx context.Context, req Request, after *Hit) (HitIterat
 // the catchCancel closure (itself a per-call allocation).
 //
 //neurospatial:hotpath
-func (gx *Grid) rangeIDs(ctx context.Context, q geom.AABB, col *idCollector) (QueryStats, error) {
+func (gx *Grid) rangeIDs(ctx context.Context, src pager.PageSource, q geom.AABB, col *idCollector) (QueryStats, error) {
 	if !cancelable(ctx) {
-		return gx.queryVia(q, gx.source(), col.visit), nil
+		return gx.queryVia(q, src, col.visit), nil
 	}
-	src := &ctxSource{ctx: ctx, src: gx.source()}
+	csrc := &ctxSource{ctx: ctx, src: src}
 	var st QueryStats
 	//lint:ignore hotpath the catchCancel closure is the cancelable path's one per-call allocation; the background path above skips it
 	err := catchCancel(func() {
-		st = gx.queryVia(q, src, col.visit)
+		st = gx.queryVia(q, csrc, col.visit)
 	})
 	if err != nil {
 		return QueryStats{}, err
@@ -304,12 +296,17 @@ func (gx *Grid) rangeIDs(ctx context.Context, q geom.AABB, col *idCollector) (Qu
 // non-empty cell's lower bound is the distance to the cell box expanded by
 // the largest item half-extent (items are registered by center, so an
 // item's box never escapes that expansion), cells are visited
-// nearest-first, their candidates read through the configured source (one
+// nearest-first, their candidates read through the call's source (one
 // read per distinct page, as in the range path), and the scan stops when the
 // next cell's bound exceeds the current k-th distance.
+func (gx *Grid) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
+	return gx.do(ctx, gx.home, req, visit)
+}
+
+// do is Do reading data pages through src.
 //
 //neurospatial:hotpath
-func (gx *Grid) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
+func (gx *Grid) do(ctx context.Context, src pager.PageSource, req Request, visit func(Hit)) (QueryStats, error) {
 	if err := req.Validate(); err != nil {
 		return QueryStats{}, err
 	}
@@ -323,7 +320,7 @@ func (gx *Grid) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStat
 		return QueryStats{}, err
 	}
 	if req.paginated() {
-		return doPaginated(ctx, gx, req, visit)
+		return doPaginated(ctx, gx, src, req, visit)
 	}
 	switch req.Kind {
 	case Range, Point:
@@ -333,7 +330,7 @@ func (gx *Grid) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStat
 		}
 		col := getIDCollector()
 		defer putIDCollector(col)
-		st, err := gx.rangeIDs(ctx, q, col)
+		st, err := gx.rangeIDs(ctx, src, q, col)
 		if err != nil {
 			return QueryStats{}, err
 		}
@@ -342,7 +339,7 @@ func (gx *Grid) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStat
 	case WithinDistance:
 		col := getIDCollector()
 		defer putIDCollector(col)
-		st, err := gx.rangeIDs(ctx, geom.BoxAround(req.Center, req.Radius), col)
+		st, err := gx.rangeIDs(ctx, src, geom.BoxAround(req.Center, req.Radius), col)
 		if err != nil {
 			return QueryStats{}, err
 		}
@@ -351,7 +348,7 @@ func (gx *Grid) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStat
 		st.EntriesTested += tested
 		return st, nil
 	case KNN:
-		return gx.doKNN(ctx, req.Center, req.K, visit)
+		return gx.doKNN(ctx, src, req.Center, req.K, visit)
 	}
 	return QueryStats{}, &RequestError{Kind: req.Kind, Field: "Kind", Reason: "is not a known query kind"}
 }
@@ -382,7 +379,7 @@ var cellBoundPool = sync.Pool{New: func() any { s := make([]cellBound, 0, 64); r
 // read-page set and the top-k accumulator are pooled.
 //
 //neurospatial:hotpath
-func (gx *Grid) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hit)) (QueryStats, error) {
+func (gx *Grid) doKNN(ctx context.Context, src pager.PageSource, center geom.Vec, k int, visit func(Hit)) (QueryStats, error) {
 	var st QueryStats
 	orderBuf := cellBoundPool.Get().(*[]cellBound)
 	defer func() { *orderBuf = (*orderBuf)[:0]; cellBoundPool.Put(orderBuf) }()
@@ -397,7 +394,6 @@ func (gx *Grid) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hi
 	*orderBuf = order
 	slices.SortFunc(order, cmpCellBound)
 	st.IndexReads = int64(len(order))
-	src := gx.source()
 	acc := getKNNAcc(k)
 	defer putKNNAcc(acc)
 	read := getPageIDScratch(gx.store.NumPages())
@@ -424,28 +420,6 @@ func (gx *Grid) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hi
 		visit(h)
 	}
 	return st, nil
-}
-
-// queryNative implements nativeQuerier.
-func (gx *Grid) queryNative(q geom.AABB, visit func(int32)) QueryStats {
-	return gx.queryVia(q, gx.source(), visit)
-}
-
-// Query implements SpatialIndex.
-//
-// Deprecated: route new call sites through Session.Do with a Range request.
-func (gx *Grid) Query(q geom.AABB, visit func(int32)) QueryStats {
-	return gx.queryNative(q, visit)
-}
-
-// BatchQuery implements SpatialIndex via the shared deterministic executor.
-//
-// Deprecated: route new call sites through Session.DoBatch.
-func (gx *Grid) BatchQuery(qs []geom.AABB, workers int, visit func(int, int32)) []QueryStats {
-	src := gx.source()
-	return batchQuery(workers, qs, func(q geom.AABB, emit func(int32)) QueryStats {
-		return gx.queryVia(q, src, emit)
-	}, visit)
 }
 
 // Store implements Paged (nil before Build or when empty).
@@ -486,14 +460,11 @@ func (gx *Grid) PagesInRange(q geom.AABB) []pager.PageID {
 	return out
 }
 
-// SetSource implements Paged.
-func (gx *Grid) SetSource(src pager.PageSource) { gx.src = src }
+// homeSrc implements contender.
+func (gx *Grid) homeSrc() pager.PageSource { return gx.home }
 
-// probeLock implements the planner's probeLocker hook.
-func (gx *Grid) probeLock() *sync.Mutex { return &gx.probeMu }
-
-// Source implements Paged.
-func (gx *Grid) Source() pager.PageSource { return gx.src }
+// coldSrc implements contender.
+func (gx *Grid) coldSrc() pager.PageSource { return storeSource(gx.store) }
 
 // PagedQuery implements Paged (and prefetch.Served).
 func (gx *Grid) PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(int32)) {

@@ -50,15 +50,6 @@ type HitIterator interface {
 	Close()
 }
 
-// streamer is the internal lazy-execution capability of the engine indexes:
-// iterate returns a HitIterator over req's hits strictly after the resume
-// position (nil = from the start). req carries no pagination fields — Stream
-// strips them; after is the decoded cursor. Implementations must emit the
-// canonical per-kind order and must not emit hits at or before after.
-type streamer interface {
-	iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error)
-}
-
 // Cursor is an opaque resume token for paginated requests. A Result whose
 // page filled its Limit carries the cursor of the next page; passing it in
 // Request.Cursor resumes the stream strictly after the last returned hit.
@@ -115,12 +106,16 @@ func hitAfter(kind Kind, h, after Hit) bool {
 // Stream opens a lazy iterator over req's hits on ix. It validates the
 // request (pagination fields included), applies the cursor and Offset/Limit
 // stages, and returns the composed pipeline; the caller must Close it.
-// Indexes implementing the internal streaming capability (every engine
-// contender and snapshot view) execute lazily — under a Limit, pages beyond
-// the last emitted hit are never read; other SpatialIndex implementations
-// fall back to a buffered drain of Do (correct, but without the early-stop
-// I/O savings).
+// Engine contenders and snapshot views execute lazily through their home
+// source — under a Limit, pages beyond the last emitted hit are never read;
+// other SpatialIndex implementations fall back to a buffered drain of Do
+// (correct, but without the early-stop I/O savings).
 func Stream(ctx context.Context, ix SpatialIndex, req Request) (HitIterator, error) {
+	return stream(ctx, ix, homeOf(ix), req)
+}
+
+// stream is Stream reading an engine contender's pages through src.
+func stream(ctx context.Context, ix SpatialIndex, src pager.PageSource, req Request) (HitIterator, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -137,7 +132,7 @@ func Stream(ctx context.Context, ix SpatialIndex, req Request) (HitIterator, err
 	}
 	base := req
 	base.Limit, base.Offset, base.Cursor = 0, 0, ""
-	it, err := rawStream(ctx, ix, base, after)
+	it, err := rawStream(ctx, ix, src, base, after)
 	if err != nil {
 		return nil, err
 	}
@@ -147,12 +142,12 @@ func Stream(ctx context.Context, ix SpatialIndex, req Request) (HitIterator, err
 	return it, nil
 }
 
-// rawStream opens the unclipped stream: the index's own lazy iterator when
-// it has one, a buffered fallback otherwise. req must carry no pagination
-// fields.
-func rawStream(ctx context.Context, ix SpatialIndex, req Request, after *Hit) (HitIterator, error) {
-	if s, ok := ix.(streamer); ok {
-		return s.iterate(ctx, req, after)
+// rawStream opens the unclipped stream: an engine contender's lazy iterator
+// reading through src, a buffered fallback for any other index. req must
+// carry no pagination fields.
+func rawStream(ctx context.Context, ix SpatialIndex, src pager.PageSource, req Request, after *Hit) (HitIterator, error) {
+	if c, ok := ix.(contender); ok {
+		return c.iterate(ctx, src, req, after)
 	}
 	var hits []Hit
 	st, err := ix.Do(ctx, req, func(h Hit) { hits = append(hits, h) })
@@ -166,12 +161,13 @@ func rawStream(ctx context.Context, ix SpatialIndex, req Request, after *Hit) (H
 }
 
 // doPaginated serves a paginated request through the lazy pipeline on behalf
-// of an index's Do method, so a Limit/Offset/Cursor request means the same
-// thing on every execution surface. Do's all-or-nothing emission contract is
-// preserved: the page — at most the Offset+Limit window — is buffered and
-// emitted only after the stream finishes cleanly.
-func doPaginated(ctx context.Context, ix SpatialIndex, req Request, visit func(Hit)) (QueryStats, error) {
-	it, err := Stream(ctx, ix, req)
+// of a contender's do, reading through the same src, so a
+// Limit/Offset/Cursor request means the same thing on every execution
+// surface. Do's all-or-nothing emission contract is preserved: the page — at
+// most the Offset+Limit window — is buffered and emitted only after the
+// stream finishes cleanly.
+func doPaginated(ctx context.Context, c contender, src pager.PageSource, req Request, visit func(Hit)) (QueryStats, error) {
+	it, err := stream(ctx, c, src, req)
 	if err != nil {
 		return QueryStats{}, err
 	}

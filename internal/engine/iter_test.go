@@ -168,14 +168,16 @@ func TestPaginationReconcatenates(t *testing.T) {
 					t.Fatalf("%s does not implement Paged", ix.Name())
 				}
 				tap := pager.NewCounting(pg.Store())
-				pg.SetSource(tap)
-				defer pg.SetSource(nil)
-				if _, err := sess.Do(context.Background(), lim); err != nil {
+				tapped, err := engine.Open(engine.WithIndex(ix), engine.WithPageSource(tap))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tapped.Do(context.Background(), lim); err != nil {
 					t.Fatal(err)
 				}
 				limReads := tap.Reads()
 				tap.Reset()
-				if _, err := sess.Do(context.Background(), req); err != nil {
+				if _, err := tapped.Do(context.Background(), req); err != nil {
 					t.Fatal(err)
 				}
 				if fullReads := tap.Reads(); limReads >= fullReads {

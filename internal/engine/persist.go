@@ -27,8 +27,8 @@ import (
 //     snapshot + page file + fresh WAL, then atomically install them with a
 //     manifest rename).
 //   - OpenDataset recovers the last durable state: thaw the manifest's
-//     snapshot, attach each contender to its on-disk page segment for cold
-//     reads, then replay the WAL's committed batches.
+//     snapshot with each contender's on-disk page segment as its home
+//     source, then replay the WAL's committed batches.
 
 // maxDatasetEpoch bounds recovered epochs so a corrupt snapshot cannot
 // overflow the in-memory int epoch.
@@ -125,22 +125,56 @@ func splitGroups(order, lens []int32) ([][]int32, error) {
 }
 
 // thawIndex reconstructs one top-level contender from its record over the
-// dense local item set (items[l].ID == l).
-func thawIndex(rec *durable.IndexRec, items []rtree.Item, o DatasetOptions) (SpatialIndex, error) {
+// dense local item set (items[l].ID == l). The contender's segment in pf
+// must match the thawed page count and becomes its home source, so its
+// reads come from disk.
+func thawIndex(rec *durable.IndexRec, items []rtree.Item, o DatasetOptions, pf *durable.PageFile) (SpatialIndex, error) {
+	var ix pagedContender
+	var err error
 	switch rec.Name {
 	case "flat":
-		return thawFlat(rec, items, o.Flat)
+		ix, err = thawFlat(rec, items, o.Flat)
 	case "rtree":
-		return thawRTree(rec, items)
+		ix, err = thawRTree(rec, items)
 	case "grid":
-		return thawGrid(rec, items, o.Grid)
+		ix, err = thawGrid(rec, items, o.Grid)
 	case "sharded":
-		return thawSharded(rec, items, ShardedOptions{
+		var sh *Sharded
+		sh, err = thawSharded(rec, items, ShardedOptions{
 			Shards: o.Shards, Index: o.ShardIndex,
 			Flat: o.Flat, RTreeFanout: o.RTreeFanout, Grid: o.Grid,
 		})
+		ix = sh
+	default:
+		return nil, fmt.Errorf("engine: thaw of unknown index kind %q", rec.Name)
 	}
-	return nil, fmt.Errorf("engine: thaw of unknown index kind %q", rec.Name)
+	if err != nil {
+		return nil, err
+	}
+	if ix.Store() == nil {
+		return ix, nil
+	}
+	seg, err := pf.Segment(rec.Name)
+	if err != nil {
+		return nil, err
+	}
+	if seg.NumPages() != ix.Store().NumPages() {
+		return nil, fmt.Errorf("engine: open: segment %q holds %d pages, index expects %d",
+			rec.Name, seg.NumPages(), ix.Store().NumPages())
+	}
+	switch v := ix.(type) {
+	case *Flat:
+		v.home = seg
+	case *RTree:
+		v.home = seg
+	case *Grid:
+		v.home = seg
+	case *Sharded:
+		for i, src := range v.shardSources(seg) {
+			v.shards[i].home = src
+		}
+	}
+	return ix, nil
 }
 
 func thawFlat(rec *durable.IndexRec, items []rtree.Item, fo flat.Options) (*Flat, error) {
@@ -194,7 +228,7 @@ func thawGrid(rec *durable.IndexRec, items []rtree.Item, gridOpts GridOptions) (
 }
 
 // thawSub reconstructs one shard's sub-index from its record.
-func thawSub(rec *durable.IndexRec, items []rtree.Item, so ShardedOptions) (Paged, error) {
+func thawSub(rec *durable.IndexRec, items []rtree.Item, so ShardedOptions) (pagedContender, error) {
 	if rec.Name != so.Index {
 		return nil, fmt.Errorf("engine: thaw shard sub-index is %q, want %q", rec.Name, so.Index)
 	}
@@ -272,48 +306,13 @@ func thawSharded(rec *durable.IndexRec, items []rtree.Item, opts ShardedOptions)
 		}
 		s.shards[i] = shardState{sub: sub, bounds: bounds, global: gcopy}
 		s.bounds = s.bounds.Union(bounds)
-		if s.opts.PoolPages > 0 {
-			pool, err := pager.NewBufferPool(sub.Store(), s.opts.PoolPages)
-			if err != nil {
-				return nil, fmt.Errorf("engine: thaw sharded: shard %d pool: %w", i, err)
-			}
-			s.shards[i].pool = pool
+		if err := s.initShardHome(i); err != nil {
+			return nil, fmt.Errorf("engine: thaw sharded: %w", err)
 		}
-		sub.SetSource(&shardSource{owner: s, shard: i})
 	}
-
 	// The global page space, wired exactly as Build wires it.
-	capacity := 1
-	for i := range s.shards {
-		if c := s.shards[i].sub.Store().Capacity(); c > capacity {
-			capacity = c
-		}
-	}
-	builder, err := pager.NewBuilder(capacity)
-	if err != nil {
-		return nil, err
-	}
-	var base pager.PageID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.pageBase = base
-		local := sh.sub.Store()
-		for p := 0; p < local.NumPages(); p++ {
-			for _, id := range local.Page(pager.PageID(p)) {
-				if id >= 0 {
-					builder.Add(sh.global[id])
-				} else {
-					builder.Add(id) // internal-node placeholder (rtree pages)
-				}
-			}
-			builder.FlushPage()
-		}
-		base += pager.PageID(local.NumPages())
-	}
-	s.store = builder.Build()
-	if s.store.NumPages() != int(base) {
-		return nil, fmt.Errorf("engine: thaw sharded: page bookkeeping diverged: %d global pages, %d shard pages",
-			s.store.NumPages(), base)
+	if err := s.buildGlobalStore(); err != nil {
+		return nil, fmt.Errorf("engine: thaw sharded: %w", err)
 	}
 	return s, nil
 }
@@ -347,8 +346,9 @@ func (d *Dataset) freezeSnapshot(snap *Snapshot) (*durable.SnapshotRec, error) {
 }
 
 // thawDataset reconstructs a Dataset at the snapshot's epoch with an empty
-// overlay — the state a compaction at that epoch published.
-func thawDataset(rec *durable.SnapshotRec) (*Dataset, error) {
+// overlay — the state a compaction at that epoch published. Every
+// contender's home source is its segment in pf.
+func thawDataset(rec *durable.SnapshotRec, pf *durable.PageFile) (*Dataset, error) {
 	opts, err := decodeOptions(rec.Options)
 	if err != nil {
 		return nil, err
@@ -385,7 +385,7 @@ func thawDataset(rec *durable.SnapshotRec) (*Dataset, error) {
 			if rec.Indexes[i].Name != name {
 				return nil, fmt.Errorf("engine: thaw: index record %d is %q, want %q", i, rec.Indexes[i].Name, name)
 			}
-			if bases[i], err = thawIndex(&rec.Indexes[i], local, opts); err != nil {
+			if bases[i], err = thawIndex(&rec.Indexes[i], local, opts, pf); err != nil {
 				return nil, err
 			}
 		}
@@ -407,7 +407,7 @@ type DurableDataset struct {
 	man durable.Manifest
 	wal *durable.WAL
 	// pageFiles are every page file opened over the dataset's lifetime. Old
-	// generations stay open after a checkpoint unlinks their path — attached
+	// generations stay open after a checkpoint unlinks their path — their
 	// segment sources may still serve pinned readers — and close with the
 	// dataset.
 	pageFiles []*durable.PageFile
@@ -565,9 +565,9 @@ func (dd *DurableDataset) checkpointLocked() error {
 
 // OpenDataset recovers the dataset in dir at its last durable epoch: the
 // manifest's snapshot is thawed (linear reconstruction, no re-indexing — the
-// page file's read counter stays at zero through open), each contender is
-// attached to its on-disk page segment so cold reads come from disk, and the
-// WAL's committed batches are replayed through the normal commit path.
+// page file's read counter stays at zero through open) with each contender
+// reading its on-disk page segment as its home source, and the WAL's
+// committed batches are replayed through the normal commit path.
 func OpenDataset(dir string) (*DurableDataset, error) {
 	m, err := durable.ReadManifest(dir)
 	if err != nil {
@@ -583,35 +583,16 @@ func OpenDataset(dir string) (*DurableDataset, error) {
 	if rec.NextID != m.NextID {
 		return nil, fmt.Errorf("engine: snapshot ID watermark %d does not match manifest %d", rec.NextID, m.NextID)
 	}
-	d, err := thawDataset(rec)
-	if err != nil {
-		return nil, err
-	}
 	pf, err := durable.OpenPageFile(filepath.Join(dir, m.Pages))
 	if err != nil {
 		return nil, err
 	}
-	dd := &DurableDataset{Dataset: d, dir: dir, man: m, pageFiles: []*durable.PageFile{pf}}
-	snap := d.Current()
-	if snap.bases != nil {
-		for i, name := range d.opts.Contenders {
-			pg, ok := snap.bases[i].(Paged)
-			if !ok || pg.Store() == nil {
-				continue
-			}
-			seg, err := pf.Segment(name)
-			if err != nil {
-				pf.Close()
-				return nil, err
-			}
-			if seg.NumPages() != pg.Store().NumPages() {
-				pf.Close()
-				return nil, fmt.Errorf("engine: open: segment %q holds %d pages, index expects %d",
-					name, seg.NumPages(), pg.Store().NumPages())
-			}
-			pg.SetSource(seg)
-		}
+	d, err := thawDataset(rec, pf)
+	if err != nil {
+		pf.Close()
+		return nil, err
 	}
+	dd := &DurableDataset{Dataset: d, dir: dir, man: m, pageFiles: []*durable.PageFile{pf}}
 	w, recs, err := durable.OpenWAL(filepath.Join(dir, m.WAL))
 	if err != nil {
 		pf.Close()

@@ -4,8 +4,8 @@ package engine
 // dataset must serve queries without re-indexing or scanning the store. Two
 // independent witnesses, neither derived from index stats: the page file's
 // own physical-read counter must be zero through open, and a pager.Counting
-// tap spliced between the index and its on-disk segment must show a first
-// query reading only a sliver of the store.
+// tap over the index's on-disk segment, carried by the query's session,
+// must show a first query reading only a sliver of the store.
 
 import (
 	"context"
@@ -53,24 +53,22 @@ func TestOpenDatasetMillionNoReindex(t *testing.T) {
 		t.Fatalf("open issued %d physical page reads, want 0 (full-store scan?)", got)
 	}
 
-	// Witness 2: splice an independent counting tap between the thawed index
-	// and its disk segment, then run one small range query cold.
+	// Witness 2: an independent counting tap over the thawed index's disk
+	// segment, carried by the session, then one small range query cold.
 	fl, ok := re.Current().bases[0].(*Flat)
 	if !ok {
 		t.Fatalf("base 0 is %T, want *Flat", re.Current().bases[0])
 	}
-	src := fl.Source()
+	src := fl.homeSrc()
 	if _, ok := src.(interface{ NumPages() int }); !ok {
-		t.Fatalf("thawed flat is not attached to a disk segment (source %T)", src)
+		t.Fatalf("thawed flat does not read from a disk segment (home source %T)", src)
 	}
 	tap := pager.NewCounting(src)
-	fl.SetSource(tap)
 
-	sess, err := Open(WithDataset(re.Dataset), WithIndexName("flat"))
+	sess, err := Open(WithIndex(re.Current().Index("flat")), WithPageSource(tap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
 	req := RangeRequest(geom.Box(geom.V(100, 100, 100), geom.V(112, 112, 112)))
 	res, err := sess.Do(context.Background(), req)
 	if err != nil {

@@ -1,9 +1,10 @@
 package engine_test
 
-// Regression tests for the planner bugfixes: empty-batch routing must be a
+// Regression tests for the planner bugfixes: empty-sample routing must be a
 // deterministic default (no fabricated 0.0 costs, no re-probing), concurrent
-// first Plans must probe each index exactly once (the singleflight latch),
-// and calibration probes must not perturb an attached buffer pool.
+// first plans must probe each index exactly once (the singleflight latch),
+// and calibration probes must not perturb a buffer pool a session reads
+// through.
 
 import (
 	"context"
@@ -43,17 +44,17 @@ func (c *countingIndex) doCalls() int {
 	return c.dos
 }
 
-// TestPlannerEmptyBatchDefault: Plan(nil) and Plan of an empty slice must
-// return a deterministic default — the first registered contender when no
-// history exists, the learned-cheapest once history accumulates — with no
-// probes and no fabricated 0.0 costs.
+// TestPlannerEmptyBatchDefault: PlanKind with an empty sample must return a
+// deterministic default — the first registered contender when no history
+// exists, the learned-cheapest once history accumulates — with no probes
+// and no fabricated 0.0 costs.
 func TestPlannerEmptyBatchDefault(t *testing.T) {
 	items := testItems(t, 8, 8001)
 	indexes := buildIndexes(t, items)
 	p := engine.NewPlanner(indexes...)
 
 	for i := 0; i < 3; i++ {
-		d := p.Plan(nil)
+		d := p.PlanKind(engine.Range, nil)
 		if d.Index != indexes[0] {
 			t.Fatalf("empty plan %d chose %s, want first registered (%s)",
 				i, d.Index.Name(), indexes[0].Name())
@@ -68,9 +69,9 @@ func TestPlannerEmptyBatchDefault(t *testing.T) {
 
 	// With learned history the empty-batch default routes to the cheapest
 	// profiled contender, still without probing.
-	p.Observe(indexes[1].Name(), []engine.QueryStats{{PagesRead: 2}})
-	p.Observe(indexes[0].Name(), []engine.QueryStats{{PagesRead: 100}})
-	d := p.Plan(nil)
+	p.ObserveKind(indexes[1].Name(), engine.Range, []engine.QueryStats{{PagesRead: 2}})
+	p.ObserveKind(indexes[0].Name(), engine.Range, []engine.QueryStats{{PagesRead: 100}})
+	d := p.PlanKind(engine.Range, []engine.Request{})
 	if d.Index != indexes[1] {
 		t.Fatalf("empty plan with history chose %s, want learned-cheapest %s",
 			d.Index.Name(), indexes[1].Name())
@@ -82,19 +83,19 @@ func TestPlannerEmptyBatchDefault(t *testing.T) {
 		t.Error("empty decision rendering")
 	}
 
-	// PlanSequence shares the guard, including a nil sequence.
-	if d := p.PlanSequence(nil); d.Index != indexes[1] {
-		t.Fatalf("nil sequence chose %s", d.Index.Name())
+	// History is per kind: an empty KNN sample still has none.
+	if d := p.PlanKind(engine.KNN, nil); d.Index != indexes[0] || len(d.CostPerQuery) != 0 {
+		t.Fatalf("empty KNN plan chose %s with costs %v", d.Index.Name(), d.CostPerQuery)
 	}
 }
 
-// TestPlannerConcurrentPlansProbeOnce: many concurrent first Plans must run
+// TestPlannerConcurrentPlansProbeOnce: many concurrent first plans must run
 // exactly one calibration probe per index (pre-fix, the check-then-act race
 // probed and observed the same index multiple times, skewing its history).
 func TestPlannerConcurrentPlansProbeOnce(t *testing.T) {
 	items := testItems(t, 8, 8002)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
-	queries := testQueries(vol, 12)
+	reqs := rangeRequests(testQueries(vol, 12))
 
 	inner := engine.NewFlat(flat.DefaultOptions())
 	if err := inner.Build(items); err != nil {
@@ -112,7 +113,7 @@ func TestPlannerConcurrentPlansProbeOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			d := p.Plan(queries)
+			d := p.PlanKind(engine.Range, reqs)
 			probed[g] = len(d.Probed)
 		}(g)
 	}
@@ -121,7 +122,7 @@ func TestPlannerConcurrentPlansProbeOnce(t *testing.T) {
 
 	// One probe executes ProbeQueries (3) sample requests through Do.
 	if got := counting.doCalls(); got != 3 {
-		t.Fatalf("%d concurrent first Plans executed %d probe queries, want exactly 3 (one probe)",
+		t.Fatalf("%d concurrent first plans executed %d probe queries, want exactly 3 (one probe)",
 			goroutines, got)
 	}
 	total := 0
@@ -133,12 +134,12 @@ func TestPlannerConcurrentPlansProbeOnce(t *testing.T) {
 	}
 }
 
-// TestPlannerConcurrentKindProbesSerialize: probes of *different kinds* on
-// the same index must not race on the index's read-path configuration — the
-// per-(index, kind) latch admits one probe per kind concurrently, so probe
-// execution itself is serialized per index. Pre-fix, a Range and a KNN probe
-// raced on SetSource/restore (a -race report) and leaked probe traffic into
-// the attached pool.
+// TestPlannerConcurrentKindProbesSerialize: concurrent probes of all four
+// kinds on the same index, from many goroutines, must leave a pool that a
+// session reads the index through exactly as the session left it: probes
+// read the in-memory store, passed per call, so they race with nothing.
+// Pre-fix, a Range and a KNN probe raced on a shared source swap (a -race
+// report) and leaked probe traffic into the attached pool.
 func TestPlannerConcurrentKindProbesSerialize(t *testing.T) {
 	items := testItems(t, 8, 8005)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
@@ -152,7 +153,14 @@ func TestPlannerConcurrentKindProbesSerialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SetSource(pool)
+	pooled, err := engine.Open(engine.WithIndex(ix), engine.WithPageSource(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pooled.Do(context.Background(), engine.RangeRequest(queries[0])); err != nil {
+		t.Fatal(err)
+	}
+	warm, warmLen := pool.Stats(), pool.Len()
 	p := engine.NewPlanner(ix)
 
 	kinds := []struct {
@@ -194,20 +202,21 @@ func TestPlannerConcurrentKindProbesSerialize(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	if st := pool.Stats(); st != (pager.Stats{}) {
-		t.Fatalf("concurrent kind probes perturbed the attached pool: %+v", st)
+	if st := pool.Stats(); st != warm {
+		t.Fatalf("concurrent kind probes perturbed the session's pool: %+v, was %+v", st, warm)
 	}
-	if pool.Len() != 0 {
-		t.Fatalf("concurrent kind probes populated the attached pool with %d pages", pool.Len())
+	if pool.Len() != warmLen {
+		t.Fatalf("concurrent kind probes changed the session's pool from %d to %d pages", warmLen, pool.Len())
 	}
-	if ix.Source() != pool {
-		t.Fatal("concurrent kind probes did not restore the attached source")
+	if got := p.ProbesRun(); got != int64(len(kinds)) {
+		t.Fatalf("%d probes ran, want one per kind (%d)", got, len(kinds))
 	}
 }
 
 // TestPlannerProbeLeavesAttachedPoolUntouched: a calibration probe must run
-// against the index's cold store, leaving an attached BufferPool's cache and
-// counters exactly as they were, and must restore the attachment.
+// against the index's in-memory store, leaving the pool a session reads the
+// index through exactly as it was, and that session keeps reading through
+// its pool afterwards.
 func TestPlannerProbeLeavesAttachedPoolUntouched(t *testing.T) {
 	items := testItems(t, 8, 8003)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
@@ -221,27 +230,29 @@ func TestPlannerProbeLeavesAttachedPoolUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SetSource(pool)
+	pooled, err := engine.Open(engine.WithIndex(ix), engine.WithPageSource(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	p := engine.NewPlanner(ix)
-	d := p.Plan(queries)
+	d := p.PlanKind(engine.Range, rangeRequests(queries))
 	if len(d.Probed) != 1 {
 		t.Fatalf("first plan probed %v, want the one unprofiled contender", d.Probed)
 	}
 	if st := pool.Stats(); st != (pager.Stats{}) {
-		t.Fatalf("probe perturbed the attached pool: %+v", st)
+		t.Fatalf("probe perturbed the session's pool: %+v", st)
 	}
 	if pool.Len() != 0 {
-		t.Fatalf("probe populated the attached pool with %d pages", pool.Len())
-	}
-	if ix.Source() != pool {
-		t.Fatal("probe did not restore the attached source")
+		t.Fatalf("probe populated the session's pool with %d pages", pool.Len())
 	}
 
-	// The attachment still works: a real query goes through the pool.
-	ix.Query(queries[0], func(int32) {})
+	// The session still reads through its pool.
+	if _, err := pooled.Do(context.Background(), engine.RangeRequest(queries[0])); err != nil {
+		t.Fatal(err)
+	}
 	if st := pool.Stats(); st.DemandReads+st.Hits == 0 {
-		t.Fatal("restored source saw no traffic on a real query")
+		t.Fatal("the session's pool saw no traffic on a real query")
 	}
 }
 
@@ -251,7 +262,7 @@ func TestPlannerProbeLeavesAttachedPoolUntouched(t *testing.T) {
 func TestPlannerProbeLeavesShardPoolsUntouched(t *testing.T) {
 	items := testItems(t, 8, 8004)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
-	queries := testQueries(vol, 12)
+	reqs := rangeRequests(testQueries(vol, 12))
 
 	opts := subIndexOptions("flat", 3)
 	opts.PoolPages = 8
@@ -261,7 +272,7 @@ func TestPlannerProbeLeavesShardPoolsUntouched(t *testing.T) {
 	}
 
 	p := engine.NewPlanner(sh)
-	if d := p.Plan(queries); len(d.Probed) != 1 {
+	if d := p.PlanKind(engine.Range, reqs); len(d.Probed) != 1 {
 		t.Fatalf("first plan probed %v", d.Probed)
 	}
 	for i, pool := range sh.ShardPools() {
@@ -274,7 +285,11 @@ func TestPlannerProbeLeavesShardPoolsUntouched(t *testing.T) {
 	}
 
 	// Real execution still runs through the per-shard pools.
-	sh.BatchQuery(queries, 1, nil)
+	for _, r := range reqs {
+		if _, err := sh.Do(context.Background(), r, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	touched := 0
 	for _, pool := range sh.ShardPools() {
 		if st := pool.Stats(); st.DemandReads+st.Hits > 0 {

@@ -13,6 +13,7 @@ import (
 
 	"neurospatial/internal/engine"
 	"neurospatial/internal/geom"
+	"neurospatial/internal/stats"
 )
 
 func TestRequestValidate(t *testing.T) {
@@ -140,8 +141,8 @@ func TestAggregateNodesPerLevel(t *testing.T) {
 	if agg := engine.Aggregate(nil); agg.NodesPerLevel() != nil {
 		t.Fatalf("empty aggregate reported NodesPerLevel %v", agg.NodesPerLevel())
 	}
-	if allocs := testing.AllocsPerRun(20, func() { _ = engine.Aggregate(in) }); allocs != 0 {
-		t.Fatalf("Aggregate allocated %v times per run, want 0", allocs)
+	if allocs, _, _ := stats.AllocsPerOp(20, func(int) { _ = engine.Aggregate(in) }); allocs >= 0.5 {
+		t.Fatalf("Aggregate allocated %.2f times per run, want 0", allocs)
 	}
 }
 

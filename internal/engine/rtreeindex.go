@@ -16,10 +16,13 @@ import (
 // page read, so PagesRead is the tree's total node accesses, IndexReads is 0
 // and NodesPerLevel carries the per-level breakdown the demo's panel shows.
 type RTree struct {
-	fanout   int
-	tree     *rtree.Tree
-	paged    *rtree.PagedTree
-	src      pager.PageSource
+	fanout int
+	tree   *rtree.Tree
+	paged  *rtree.PagedTree
+	// home is the source Do reads node pages through: the paged layout's
+	// own store, or the durable segment the tree was thawed onto. Fixed at
+	// construction.
+	home     pager.PageSource
 	elemPage []pager.PageID // item ID -> leaf page
 	boxes    []geom.AABB    // item ID -> MBR (exact-distance refinement)
 	// boxOf is the exact-geometry accessor bound once per paging (a
@@ -34,8 +37,6 @@ type RTree struct {
 	// node its page, MBR, level and (min, max) item-ID zone — what the
 	// streaming descent orders subtrees by. nodes[0] is the root.
 	nodes []rnode
-	// probeMu is the per-instance probe-execution lock (see planner.go).
-	probeMu sync.Mutex //neurospatial:lock rtree.probe
 }
 
 // rnode is one node of the RAM directory (see RTree.nodes).
@@ -77,22 +78,21 @@ func (r *RTree) PagedTree() *rtree.PagedTree { return r.paged }
 // Name implements SpatialIndex.
 func (r *RTree) Name() string { return "rtree" }
 
-// Build implements SpatialIndex. Rebuilding restores cold reads from the
-// new store: an attached PageSource is dropped, since a pool wrapping the
-// previous store would serve stale pages.
+// Build implements SpatialIndex; the new node-page store becomes the home
+// source.
 func (r *RTree) Build(items []rtree.Item) error {
 	t, err := rtree.STR(items, r.fanout)
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	r.tree, r.src = t, nil
+	r.tree = t
 	return r.page()
 }
 
 // page lays the tree's nodes onto pages and indexes each item's leaf page
 // and MBR.
 func (r *RTree) page() error {
-	r.paged, r.elemPage, r.boxes, r.nodes = nil, nil, nil, nil
+	r.paged, r.home, r.elemPage, r.boxes, r.nodes = nil, nil, nil, nil, nil
 	if r.tree.Size() == 0 {
 		return nil
 	}
@@ -100,7 +100,7 @@ func (r *RTree) page() error {
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	r.paged = p
+	r.paged, r.home = p, p.Store()
 	r.elemPage = make([]pager.PageID, r.tree.Size())
 	r.boxes = make([]geom.AABB, r.tree.Size())
 	r.boxOf = func(id int32) geom.AABB { return r.boxes[id] }
@@ -183,34 +183,20 @@ func fromRTree(s rtree.QueryStats) QueryStats {
 	}
 }
 
-func (r *RTree) query(q geom.AABB, emit func(int32)) QueryStats {
-	if r.tree == nil {
-		return QueryStats{}
-	}
-	visit := func(it rtree.Item) { emit(it.ID) }
-	if r.src != nil && r.paged != nil {
-		return fromRTree(r.paged.QueryVia(q, r.src, visit))
-	}
-	return fromRTree(r.tree.Query(q, visit))
-}
-
-// rangeIDs runs the native descent collecting ids. With a cancelable
-// context the descent reads node pages through the paged layout (the
-// traversal — and therefore the stats record — is identical to the unpaged
-// one), so cancellation is checked at every node-page read.
+// rangeIDs runs the native descent collecting ids. When src is anything
+// but the in-memory node store, or the context is cancelable, the descent
+// reads node pages through the paged layout (the traversal — and therefore
+// the stats record — is identical to the unpaged one), so every node read
+// reaches src and cancellation is checked at each.
 //
 //neurospatial:hotpath
-func (r *RTree) rangeIDs(ctx context.Context, q geom.AABB, col *idCollector) (QueryStats, error) {
-	if r.paged != nil && (r.src != nil || cancelable(ctx)) {
-		base := r.src
-		if base == nil {
-			base = r.paged.Store()
-		}
-		src := wrapCtxSource(ctx, base)
+func (r *RTree) rangeIDs(ctx context.Context, src pager.PageSource, q geom.AABB, col *idCollector) (QueryStats, error) {
+	if r.paged != nil && (src != r.coldSrc() || cancelable(ctx)) {
+		csrc := wrapCtxSource(ctx, src)
 		var st QueryStats
 		//lint:ignore hotpath the catchCancel closure is the cancelable path's one per-call allocation; the unpaged path below skips it
 		err := catchCancel(func() {
-			st = fromRTree(r.paged.QueryVia(q, src, col.visitItem))
+			st = fromRTree(r.paged.QueryVia(q, csrc, col.visitItem))
 		})
 		if err != nil {
 			return QueryStats{}, err
@@ -232,9 +218,14 @@ func (r *RTree) rangeIDs(ctx context.Context, q geom.AABB, col *idCollector) (Qu
 // coordinates, so the first probe almost always suffices); the record is the
 // widest search executed. Cancellation is checked between native calls (the
 // KNN traversal is RAM-resident — it performs no page reads to check at).
+func (r *RTree) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
+	return r.do(ctx, r.home, req, visit)
+}
+
+// do is Do reading node pages through src.
 //
 //neurospatial:hotpath
-func (r *RTree) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
+func (r *RTree) do(ctx context.Context, src pager.PageSource, req Request, visit func(Hit)) (QueryStats, error) {
 	if err := req.Validate(); err != nil {
 		return QueryStats{}, err
 	}
@@ -248,7 +239,7 @@ func (r *RTree) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStat
 		return QueryStats{}, err
 	}
 	if req.paginated() {
-		return doPaginated(ctx, r, req, visit)
+		return doPaginated(ctx, r, src, req, visit)
 	}
 	switch req.Kind {
 	case Range, Point:
@@ -258,7 +249,7 @@ func (r *RTree) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStat
 		}
 		col := getIDCollector()
 		defer putIDCollector(col)
-		st, err := r.rangeIDs(ctx, q, col)
+		st, err := r.rangeIDs(ctx, src, q, col)
 		if err != nil {
 			return QueryStats{}, err
 		}
@@ -267,7 +258,7 @@ func (r *RTree) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStat
 	case WithinDistance:
 		col := getIDCollector()
 		defer putIDCollector(col)
-		st, err := r.rangeIDs(ctx, geom.BoxAround(req.Center, req.Radius), col)
+		st, err := r.rangeIDs(ctx, src, geom.BoxAround(req.Center, req.Radius), col)
 		if err != nil {
 			return QueryStats{}, err
 		}
@@ -336,7 +327,7 @@ func (r *RTree) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hi
 // read. Subtrees wholly at or before the resume position are pruned by
 // their ID zone without reading. KNN serves the bounded native best-first
 // search eagerly.
-func (r *RTree) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
+func (r *RTree) iterate(ctx context.Context, src pager.PageSource, req Request, after *Hit) (HitIterator, error) {
 	if r.tree == nil || r.tree.Size() == 0 {
 		return &sliceIter{}, ctxErr(ctx)
 	}
@@ -344,10 +335,6 @@ func (r *RTree) iterate(ctx context.Context, req Request, after *Hit) (HitIterat
 		return knnEager(func(visit func(Hit)) (QueryStats, error) {
 			return r.doKNN(ctx, req.Center, req.K, visit)
 		}, KNN, after)
-	}
-	src := r.src
-	if src == nil {
-		src = r.paged.Store()
 	}
 	it := &rtreeStream{r: r, ctx: ctx, src: src,
 		accept: acceptFor(req, r.boxOf), q: queryBox(req),
@@ -533,26 +520,6 @@ func (h *nodeHeap) pop(r *RTree) int32 {
 	return top
 }
 
-// queryNative implements nativeQuerier, reading node pages through the
-// configured source when one is attached.
-func (r *RTree) queryNative(q geom.AABB, visit func(int32)) QueryStats {
-	return r.query(q, visit)
-}
-
-// Query implements SpatialIndex.
-//
-// Deprecated: route new call sites through Session.Do with a Range request.
-func (r *RTree) Query(q geom.AABB, visit func(int32)) QueryStats {
-	return r.queryNative(q, visit)
-}
-
-// BatchQuery implements SpatialIndex via the shared deterministic executor.
-//
-// Deprecated: route new call sites through Session.DoBatch.
-func (r *RTree) BatchQuery(qs []geom.AABB, workers int, visit func(int, int32)) []QueryStats {
-	return batchQuery(workers, qs, r.query, visit)
-}
-
 // Store implements Paged (nil for an empty tree).
 func (r *RTree) Store() *pager.Store {
 	if r.paged == nil {
@@ -586,14 +553,11 @@ func (r *RTree) PagesInRange(q geom.AABB) []pager.PageID {
 	return r.paged.PagesInRange(q)
 }
 
-// SetSource implements Paged.
-func (r *RTree) SetSource(src pager.PageSource) { r.src = src }
+// homeSrc implements contender.
+func (r *RTree) homeSrc() pager.PageSource { return r.home }
 
-// probeLock implements the planner's probeLocker hook.
-func (r *RTree) probeLock() *sync.Mutex { return &r.probeMu }
-
-// Source implements Paged.
-func (r *RTree) Source() pager.PageSource { return r.src }
+// coldSrc implements contender.
+func (r *RTree) coldSrc() pager.PageSource { return storeSource(r.Store()) }
 
 // PagedQuery implements Paged (and prefetch.Served).
 func (r *RTree) PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(int32)) {

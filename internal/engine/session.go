@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"neurospatial/internal/pager"
 	"neurospatial/internal/parallel"
 )
 
@@ -23,11 +24,16 @@ import (
 // land afterwards. Requests route through the snapshot's own planner (or a
 // fixed contender view when WithIndexName is given); Close releases the pin.
 //
-// Sessions are safe for concurrent use as long as the underlying indexes'
-// configuration (Paged.SetSource, Build) is not mutated concurrently — the
-// same contract the indexes themselves carry. Dataset sessions read immutable
-// snapshots, so they are additionally safe against concurrent Dataset
-// commits — that is the point of them.
+// A fixed-index session can also carry its own page source (WithPageSource):
+// every request it serves reads the index's pages through that source
+// instead of the index's home source — a buffer pool under measurement, a
+// counting tap — without touching the index, so other sessions and planners
+// sharing the index are unaffected.
+//
+// Sessions are safe for concurrent use as long as the underlying indexes
+// are not rebuilt concurrently — the same contract the indexes themselves
+// carry. Dataset sessions read immutable snapshots, so they are additionally
+// safe against concurrent Dataset commits — that is the point of them.
 type Session struct {
 	index     SpatialIndex
 	planner   *Planner
@@ -35,6 +41,7 @@ type Session struct {
 	snap      *Snapshot
 	fixedView SpatialIndex
 	indexName string
+	src       pager.PageSource
 	workers   int
 	closed    atomic.Bool
 }
@@ -44,6 +51,16 @@ type SessionOption func(*Session)
 
 // WithIndex serves every request from one fixed contender.
 func WithIndex(ix SpatialIndex) SessionOption { return func(s *Session) { s.index = ix } }
+
+// WithPageSource makes every request of a WithIndex session read the index's
+// pages through src, addressed in the index's own page space (wrap
+// Paged.Store in a pager.BufferPool or a pager.Counting tap). The source
+// belongs to the session's requests, not to the index. Open rejects it
+// without WithIndex, or when the index is not an engine index (a
+// *RequestError with Field "PageSource").
+func WithPageSource(src pager.PageSource) SessionOption {
+	return func(s *Session) { s.src = src }
+}
 
 // WithPlanner routes each request per kind through the planner's cost model.
 func WithPlanner(p *Planner) SessionOption { return func(s *Session) { s.planner = p } }
@@ -67,7 +84,8 @@ func WithWorkers(n int) SessionOption { return func(s *Session) { s.workers = n 
 
 // Open opens a query session. Exactly one routing mode must be configured: a
 // fixed index (WithIndex), a planner (WithPlanner), or a dataset snapshot
-// (WithDataset, optionally narrowed by WithIndexName).
+// (WithDataset, optionally narrowed by WithIndexName). WithPageSource
+// requires WithIndex.
 func Open(opts ...SessionOption) (*Session, error) {
 	s := &Session{workers: 1}
 	for _, opt := range opts {
@@ -84,6 +102,15 @@ func Open(opts ...SessionOption) (*Session, error) {
 	}
 	if s.indexName != "" && s.dataset == nil {
 		return nil, fmt.Errorf("engine: WithIndexName requires WithDataset")
+	}
+	if s.src != nil {
+		if s.index == nil {
+			return nil, &RequestError{Field: "PageSource", Reason: "requires WithIndex"}
+		}
+		if _, ok := s.index.(contender); !ok {
+			return nil, &RequestError{Field: "PageSource",
+				Reason: fmt.Sprintf("cannot be served by %s, which is not an engine index", s.index.Name())}
+		}
 	}
 	if s.planner != nil && len(s.planner.Indexes()) == 0 {
 		return nil, fmt.Errorf("engine: Open: planner has no contenders")
@@ -134,16 +161,19 @@ func stripPagination(r *Request) {
 	r.Limit, r.Offset, r.Cursor = 0, 0, ""
 }
 
-// execRequest runs one request on its routed index: the index's native Do
-// for a full result, the lazy streaming pipeline for a paginated one (the
-// stream stops reading pages once the limit is filled; the returned cursor
-// resumes the next page).
-func execRequest(ctx context.Context, ix SpatialIndex, req Request, emit func(Hit)) (QueryStats, Cursor, error) {
+// execRequest runs one request on its routed index: Do for a full result,
+// the lazy streaming pipeline for a paginated one (the stream stops reading
+// pages once the limit is filled; the returned cursor resumes the next
+// page). A non-nil src replaces the index's home source for this request.
+func execRequest(ctx context.Context, ix SpatialIndex, src pager.PageSource, req Request, emit func(Hit)) (QueryStats, Cursor, error) {
+	if src == nil {
+		src = homeOf(ix)
+	}
 	if !req.paginated() {
-		st, err := ix.Do(ctx, req, emit)
+		st, err := doVia(ctx, ix, src, req, emit)
 		return st, "", err
 	}
-	it, err := Stream(ctx, ix, req)
+	it, err := stream(ctx, ix, src, req)
 	if err != nil {
 		return QueryStats{}, "", err
 	}
@@ -224,7 +254,7 @@ func (s *Session) Do(ctx context.Context, req Request) (Result, error) {
 	stripPagination(&sample[0])
 	ix, cached, consulted := s.route(req.Kind, sample[:])
 	res := Result{Request: req, Index: ix.Name()}
-	st, cursor, err := execRequest(ctx, ix, req, func(h Hit) { res.Hits = append(res.Hits, h) })
+	st, cursor, err := execRequest(ctx, ix, s.src, req, func(h Hit) { res.Hits = append(res.Hits, h) })
 	if err != nil {
 		return Result{}, err
 	}
@@ -324,7 +354,7 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request, workers int) ([]R
 			var st QueryStats
 			var doErr error
 			if cerr := catchCancel(func() {
-				st, cursors[qi], doErr = execRequest(ctx, routed[reqs[qi].Kind], reqs[qi], emit)
+				st, cursors[qi], doErr = execRequest(ctx, routed[reqs[qi].Kind], s.src, reqs[qi], emit)
 			}); cerr != nil {
 				return QueryStats{}, cerr
 			}

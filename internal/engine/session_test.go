@@ -304,14 +304,13 @@ func TestDoBatchCancellation(t *testing.T) {
 		if err := ix.Build(items); err != nil {
 			t.Fatal(err)
 		}
-		sess, err := engine.Open(engine.WithIndex(ix))
-		if err != nil {
-			t.Fatal(err)
-		}
 
 		// Uncanceled baseline: total page reads of the full batch.
 		base := &cancelSource{src: ix.Store(), after: -1, cancel: func() {}}
-		ix.SetSource(base)
+		sess, err := engine.Open(engine.WithIndex(ix), engine.WithPageSource(base))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := sess.DoBatch(context.Background(), reqs, workers); err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +325,10 @@ func TestDoBatchCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		cs := &cancelSource{src: ix.Store(), after: 5, cancel: cancel}
-		ix.SetSource(cs)
+		sess, err = engine.Open(engine.WithIndex(ix), engine.WithPageSource(cs))
+		if err != nil {
+			t.Fatal(err)
+		}
 		emitted := 0
 		results, err := sess.DoBatch(ctx, reqs, workers)
 		if results != nil {
@@ -372,7 +374,10 @@ func TestDoCancellationSingle(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cs := &cancelSource{src: ix.Store(), after: 2, cancel: cancel}
-	ix.SetSource(cs)
+	sess, err = engine.Open(engine.WithIndex(ix), engine.WithPageSource(cs))
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := sess.Do(ctx, engine.RangeRequest(vol))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-query canceled Do returned %v", err)

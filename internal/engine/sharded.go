@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
@@ -32,9 +30,9 @@ type ShardedOptions struct {
 	Grid GridOptions
 	// PoolPages, when > 0, gives every shard its own pager.BufferPool of
 	// that capacity over its local store — the per-shard caching regime of a
-	// partitioned serving tier. Zero reads cold. An externally attached
-	// PageSource (SetSource / PagedQuery) bypasses the per-shard pools, since
-	// it owns the global page space.
+	// partitioned serving tier. Zero reads cold. A page source given for
+	// one call (WithPageSource, PagedQuery, a planner probe) bypasses the
+	// per-shard pools, since it owns the global page space.
 	PoolPages int
 }
 
@@ -51,7 +49,7 @@ func (o ShardedOptions) sanitize() ShardedOptions {
 // shardState is one spatial shard: a sub-index over the shard's items
 // re-labelled with dense local IDs, plus the maps back to global space.
 type shardState struct {
-	sub    Paged
+	sub    pagedContender
 	bounds geom.AABB
 	// global[l] is the global ID of the shard's local item l (ascending —
 	// local IDs are assigned in ascending global-ID order).
@@ -60,6 +58,10 @@ type shardState struct {
 	pageBase pager.PageID
 	// pool is the shard's own buffer pool (nil when PoolPages == 0).
 	pool *pager.BufferPool
+	// home is the source the shard reads through by default: its pool, its
+	// local store, or — after OpenDataset — the durable segment of the
+	// global page space.
+	home pager.PageSource
 }
 
 // Sharded is the scatter-gather engine index: the item set is split into K
@@ -71,9 +73,7 @@ type shardState struct {
 // Gather order: per query, the shards are drained in shard order and the
 // merged hits are emitted in ascending global ID — Sharded's fixed native
 // order, identical for any shard count, worker count, or per-shard index
-// kind, and equal (as a set) to any unsharded contender's result. Batches
-// run on the shared deterministic executor, so BatchQuery emits exactly the
-// serial Query loop's output for any worker count.
+// kind, and equal (as a set) to any unsharded contender's result.
 //
 // Stats mapping: per-shard QueryStats are summed into the unified record
 // (NodesPerLevel element-wise), plus ShardsTouched — the number of shards
@@ -96,19 +96,6 @@ type Sharded struct {
 	// store is the global page space (per-shard pages concatenated, contents
 	// translated to global IDs).
 	store *pager.Store
-	// src is the externally attached global-space PageSource (SetSource).
-	src pager.PageSource
-	// probeCold routes reads around the per-shard pools (planner
-	// calibration must not warm or count against internal caches). Atomic
-	// because the query read path observes it without holding probeMu:
-	// queries may run concurrently with a planner probe toggling it.
-	probeCold atomic.Bool
-	// pqMu serializes PagedQuery's temporary source swap.
-	pqMu sync.Mutex //neurospatial:lock sharded.pq
-	// probeMu is the per-instance probe-execution lock (see planner.go);
-	// it serializes probe runs (and so probeCold toggles) across planners
-	// sharing the instance.
-	probeMu sync.Mutex //neurospatial:lock sharded.probe
 }
 
 // NewSharded returns an unbuilt sharded index.
@@ -134,7 +121,7 @@ func (s *Sharded) ShardPools() []*pager.BufferPool {
 }
 
 // newSubIndex constructs one shard's contender.
-func (o ShardedOptions) newSubIndex() (Paged, error) {
+func (o ShardedOptions) newSubIndex() (pagedContender, error) {
 	switch o.Index {
 	case "flat":
 		return NewFlat(o.Flat), nil
@@ -146,11 +133,10 @@ func (o ShardedOptions) newSubIndex() (Paged, error) {
 	return nil, fmt.Errorf("engine: unknown sharded sub-index %q (have flat, rtree, grid)", o.Index)
 }
 
-// Build implements SpatialIndex. Rebuilding drops an attached PageSource,
-// like every other engine index: a pool wrapping the previous global store
-// would serve stale pages.
+// Build implements SpatialIndex. Every shard's home becomes its own pool
+// (PoolPages > 0) or its new local store.
 func (s *Sharded) Build(items []rtree.Item) error {
-	s.shards, s.store, s.src = nil, nil, nil
+	s.shards, s.store = nil, nil
 	s.shardOf, s.local = nil, nil
 	s.bounds = geom.EmptyAABB()
 	s.n = len(items)
@@ -185,21 +171,33 @@ func (s *Sharded) Build(items []rtree.Item) error {
 		}
 		s.shards[i] = shardState{sub: sub, bounds: part.Bounds, global: globals}
 		s.bounds = s.bounds.Union(part.Bounds)
-		if s.opts.PoolPages > 0 {
-			pool, err := pager.NewBufferPool(sub.Store(), s.opts.PoolPages)
-			if err != nil {
-				return fmt.Errorf("engine: shard %d pool: %w", i, err)
-			}
-			s.shards[i].pool = pool
+		if err := s.initShardHome(i); err != nil {
+			return err
 		}
-		// All page reads of the shard dispatch through the owner: attached
-		// global source first, then the per-shard pool, then cold.
-		sub.SetSource(&shardSource{owner: s, shard: i})
 	}
+	return s.buildGlobalStore()
+}
 
-	// The global page space: per-shard pages concatenated densely, contents
-	// translated from local to global IDs (sub-page boundaries preserved
-	// exactly, so global page base+p mirrors shard page p).
+// initShardHome wires shard i's pool and home source: its own pool when
+// PoolPages > 0, else its sub-index's home.
+func (s *Sharded) initShardHome(i int) error {
+	sh := &s.shards[i]
+	sh.home = sh.sub.homeSrc()
+	if s.opts.PoolPages > 0 {
+		pool, err := pager.NewBufferPool(sh.sub.Store(), s.opts.PoolPages)
+		if err != nil {
+			return fmt.Errorf("engine: shard %d pool: %w", i, err)
+		}
+		sh.pool, sh.home = pool, pool
+	}
+	return nil
+}
+
+// buildGlobalStore lays out the global page space: per-shard pages
+// concatenated densely, contents translated from local to global IDs
+// (sub-page boundaries preserved exactly, so global page base+p mirrors
+// shard page p).
+func (s *Sharded) buildGlobalStore() error {
 	capacity := 1
 	for i := range s.shards {
 		if c := s.shards[i].sub.Store().Capacity(); c > capacity {
@@ -235,32 +233,44 @@ func (s *Sharded) Build(items []rtree.Item) error {
 	return nil
 }
 
-// shardSource is the PageSource installed on every sub-index: it accounts
-// the read in the global page space (against the attached source or the
-// shard's own pool) and returns the shard-local page content the sub-index's
-// refinement expects.
-type shardSource struct {
-	owner *Sharded
-	shard int
+// globalRead is one shard's view of a source over the global page space:
+// every read is issued to src at the shard's global page (so src accounts
+// it) and answered from the shard's local store, whose content the
+// sub-index's refinement expects.
+type globalRead struct {
+	src   pager.PageSource
+	base  pager.PageID
+	local *pager.Store
 }
 
-func (ss *shardSource) ReadPage(p pager.PageID) []int32 {
-	sh := &ss.owner.shards[ss.shard]
-	if src := ss.owner.src; src != nil {
-		src.ReadPage(sh.pageBase + p)
-		return sh.sub.Store().Page(p)
-	}
-	if sh.pool != nil && !ss.owner.probeCold.Load() {
-		return sh.pool.Get(p)
-	}
-	return sh.sub.Store().Page(p)
+// ReadPage implements pager.PageSource.
+func (g *globalRead) ReadPage(p pager.PageID) []int32 {
+	g.src.ReadPage(g.base + p)
+	return g.local.Page(p)
 }
 
-// setProbeCold implements the planner's internal cold-probe hook: while on,
-// reads bypass the per-shard pools (cold store), so a calibration probe
-// neither warms nor counts against them. Like SetSource, it is configuration
-// of the read path, not concurrent-execution state.
-func (s *Sharded) setProbeCold(on bool) { s.probeCold.Store(on) }
+// shardSources returns the per-shard sources of one call: nil — every shard
+// reads its home — when src is nil, else one wrapper per shard addressing
+// src in the global page space. Only this override path allocates.
+func (s *Sharded) shardSources(src pager.PageSource) []pager.PageSource {
+	if src == nil {
+		return nil
+	}
+	srcs := make([]pager.PageSource, len(s.shards))
+	for i := range s.shards {
+		sh := &s.shards[i]
+		srcs[i] = &globalRead{src: src, base: sh.pageBase, local: sh.sub.Store()}
+	}
+	return srcs
+}
+
+// shardSource is shard i's entry of srcs (see shardSources).
+func (s *Sharded) shardSource(srcs []pager.PageSource, i int) pager.PageSource {
+	if srcs == nil {
+		return s.shards[i].home
+	}
+	return srcs[i]
+}
 
 // Bounds implements SpatialIndex.
 func (s *Sharded) Bounds() geom.AABB { return s.bounds }
@@ -268,42 +278,11 @@ func (s *Sharded) Bounds() geom.AABB { return s.bounds }
 // NumItems implements SpatialIndex.
 func (s *Sharded) NumItems() int { return s.n }
 
-// nativeQuerier is the non-deprecated form of the legacy range-query shape.
-// Every contender keeps its real implementation under this unexported method
-// so internal fan-out — the sharded scatter, the paged read path — never
-// routes through the deprecated Query/BatchQuery wrappers, which exist only
-// for external callers mid-migration.
-type nativeQuerier interface {
-	queryNative(q geom.AABB, emit func(int32)) QueryStats
-}
-
-// queryNative is the scatter-gather: fan out to intersecting shards in shard
-// order, sum their stats, merge hits into ascending global ID.
-func (s *Sharded) queryNative(q geom.AABB, emit func(int32)) QueryStats {
-	var subs []QueryStats
-	var hits []int32
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if !sh.bounds.Intersects(q) {
-			continue
-		}
-		nq := sh.sub.(nativeQuerier)
-		subs = append(subs, nq.queryNative(q, func(lid int32) { hits = append(hits, sh.global[lid]) }))
-	}
-	st := Aggregate(subs)
-	st.ShardsTouched = int64(len(subs))
-	slices.Sort(hits)
-	for _, id := range hits {
-		emit(id)
-	}
-	return st
-}
-
 // scatter runs one sub-request on every shard accepted by keep (in shard
-// order), translating local hits to global IDs via toGlobal, and returns the
-// summed stats with ShardsTouched set. The sub-indexes observe ctx at their
-// own page-read granularity.
-func (s *Sharded) scatter(ctx context.Context, sub Request, keep func(sh *shardState) bool,
+// order), each reading through its entry of srcs, emitting local hits with
+// their shard index, and returns the summed stats with ShardsTouched set.
+// The sub-indexes observe ctx at their own page-read granularity.
+func (s *Sharded) scatter(ctx context.Context, srcs []pager.PageSource, sub Request, keep func(sh *shardState) bool,
 	emit func(shardIdx int, h Hit)) (QueryStats, error) {
 
 	var subs []QueryStats
@@ -312,7 +291,7 @@ func (s *Sharded) scatter(ctx context.Context, sub Request, keep func(sh *shardS
 		if !keep(sh) {
 			continue
 		}
-		st, err := sh.sub.Do(ctx, sub, func(h Hit) { emit(i, h) })
+		st, err := sh.sub.do(ctx, s.shardSource(srcs, i), sub, func(h Hit) { emit(i, h) })
 		if err != nil {
 			return QueryStats{}, err
 		}
@@ -332,9 +311,21 @@ func (s *Sharded) scatter(ctx context.Context, sub Request, keep func(sh *shardS
 // ID) accumulator, and the fan-out stops as soon as the next shard's bound
 // exceeds the current k-th distance — ShardsTouched records how many shards
 // the gather actually consulted.
+func (s *Sharded) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
+	return s.do(ctx, nil, req, visit)
+}
+
+// do is Do reading through src: nil reads every shard's home, any other
+// source is addressed in the global page space.
+func (s *Sharded) do(ctx context.Context, src pager.PageSource, req Request, visit func(Hit)) (QueryStats, error) {
+	return s.exec(ctx, src, s.shardSources(src), req, visit)
+}
+
+// exec is the execution of do: srcs are src's per-shard sources, and src
+// itself serves a paginated request's stream.
 //
 //neurospatial:hotpath
-func (s *Sharded) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
+func (s *Sharded) exec(ctx context.Context, src pager.PageSource, srcs []pager.PageSource, req Request, visit func(Hit)) (QueryStats, error) {
 	if err := req.Validate(); err != nil {
 		return QueryStats{}, err
 	}
@@ -348,7 +339,7 @@ func (s *Sharded) Do(ctx context.Context, req Request, visit func(Hit)) (QuerySt
 		return QueryStats{}, err
 	}
 	if req.paginated() {
-		return doPaginated(ctx, s, req, visit)
+		return doPaginated(ctx, s, src, req, visit)
 	}
 	switch req.Kind {
 	case Range, Point:
@@ -358,7 +349,7 @@ func (s *Sharded) Do(ctx context.Context, req Request, visit func(Hit)) (QuerySt
 		}
 		var hits []Hit
 		//lint:ignore hotpath the sharded gather buffers hits per query by design; ceilinged by TestDoHotPathAllocs
-		st, err := s.scatter(ctx, req, func(sh *shardState) bool { return sh.bounds.Intersects(q) },
+		st, err := s.scatter(ctx, srcs, req, func(sh *shardState) bool { return sh.bounds.Intersects(q) },
 			func(i int, h Hit) { hits = append(hits, Hit{ID: s.shards[i].global[h.ID]}) })
 		if err != nil {
 			return QueryStats{}, err
@@ -372,7 +363,7 @@ func (s *Sharded) Do(ctx context.Context, req Request, visit func(Hit)) (QuerySt
 		r2 := req.Radius * req.Radius
 		var hits []Hit
 		//lint:ignore hotpath the sharded gather buffers hits per query by design; ceilinged by TestDoHotPathAllocs
-		st, err := s.scatter(ctx, req,
+		st, err := s.scatter(ctx, srcs, req,
 			func(sh *shardState) bool { return sh.bounds.Dist2Point(req.Center) <= r2 },
 			func(i int, h Hit) { hits = append(hits, Hit{ID: s.shards[i].global[h.ID], Dist2: h.Dist2}) })
 		if err != nil {
@@ -384,7 +375,7 @@ func (s *Sharded) Do(ctx context.Context, req Request, visit func(Hit)) (QuerySt
 		}
 		return st, nil
 	case KNN:
-		return s.doKNN(ctx, req, visit)
+		return s.doKNN(ctx, srcs, req, visit)
 	}
 	return QueryStats{}, &RequestError{Kind: req.Kind, Field: "Kind", Reason: "is not a known query kind"}
 }
@@ -392,7 +383,7 @@ func (s *Sharded) Do(ctx context.Context, req Request, visit func(Hit)) (QuerySt
 // doKNN is the sharded bound-tightening kNN gather.
 //
 //neurospatial:hotpath
-func (s *Sharded) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
+func (s *Sharded) doKNN(ctx context.Context, srcs []pager.PageSource, req Request, visit func(Hit)) (QueryStats, error) {
 	type shardBound struct {
 		d2 float64
 		i  int
@@ -424,7 +415,7 @@ func (s *Sharded) doKNN(ctx context.Context, req Request, visit func(Hit)) (Quer
 		// global (Dist2, ID) order and the union provably contains the
 		// canonical top-k.
 		//lint:ignore hotpath one translation closure per consulted shard by design; ceilinged by TestDoHotPathAllocs
-		st, err := sh.sub.Do(ctx, req, func(h Hit) {
+		st, err := sh.sub.do(ctx, s.shardSource(srcs, sb.i), req, func(h Hit) {
 			acc.Offer(Hit{ID: sh.global[h.ID], Dist2: h.Dist2})
 		})
 		if err != nil {
@@ -452,13 +443,14 @@ func (s *Sharded) doKNN(ctx context.Context, req Request, visit func(Hit)) (Quer
 // translated into each shard's local ID space, so the per-shard zone maps
 // prune pages below the cursor without reading them. KNN serves the bounded
 // bound-tightening gather eagerly.
-func (s *Sharded) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
+func (s *Sharded) iterate(ctx context.Context, src pager.PageSource, req Request, after *Hit) (HitIterator, error) {
 	if s.n == 0 {
 		return &sliceIter{}, ctxErr(ctx)
 	}
+	srcs := s.shardSources(src)
 	if req.Kind == KNN {
 		return knnEager(func(visit func(Hit)) (QueryStats, error) {
-			return s.doKNN(ctx, req, visit)
+			return s.doKNN(ctx, srcs, req, visit)
 		}, KNN, after)
 	}
 	keep := func(sh *shardState) bool { return sh.bounds.Intersects(queryBox(req)) }
@@ -472,10 +464,6 @@ func (s *Sharded) iterate(ctx context.Context, req Request, after *Hit) (HitIter
 		if !keep(sh) {
 			continue
 		}
-		sub, ok := sh.sub.(streamer)
-		if !ok { // defensive: every engine contender streams
-			continue
-		}
 		var localAfter *Hit
 		if after != nil {
 			// The largest local ID whose global ID is <= after.ID (resume
@@ -485,7 +473,7 @@ func (s *Sharded) iterate(ctx context.Context, req Request, after *Hit) (HitIter
 				localAfter = &Hit{ID: int32(ub - 1)}
 			}
 		}
-		it, err := sub.iterate(ctx, req, localAfter)
+		it, err := sh.sub.iterate(ctx, s.shardSource(srcs, i), req, localAfter)
 		if err != nil {
 			for _, open := range its {
 				open.Close()
@@ -498,24 +486,6 @@ func (s *Sharded) iterate(ctx context.Context, req Request, after *Hit) (HitIter
 		}})
 	}
 	return newKWayMerge(its, QueryStats{ShardsTouched: int64(len(its))}), nil
-}
-
-// Query implements SpatialIndex; hits are emitted in ascending global ID.
-//
-// Deprecated: route new call sites through Session.Do with a Range request.
-func (s *Sharded) Query(q geom.AABB, visit func(int32)) QueryStats {
-	if visit == nil {
-		visit = func(int32) {}
-	}
-	return s.queryNative(q, visit)
-}
-
-// BatchQuery implements SpatialIndex via the shared deterministic executor:
-// queries are the slots, each slot scatters over its shards and gathers.
-//
-// Deprecated: route new call sites through Session.DoBatch.
-func (s *Sharded) BatchQuery(qs []geom.AABB, workers int, visit func(int, int32)) []QueryStats {
-	return batchQuery(workers, qs, s.queryNative, visit)
 }
 
 // Store implements Paged: the dense global page space over all shards (nil
@@ -560,28 +530,21 @@ func (s *Sharded) PagesInRange(q geom.AABB) []pager.PageID {
 	return out
 }
 
-// SetSource implements Paged: src addresses the global page space and
-// overrides the per-shard pools while attached.
-func (s *Sharded) SetSource(src pager.PageSource) { s.src = src }
+// homeSrc implements contender: nil, since every shard reads its own
+// home (pool, local store or durable segment).
+func (s *Sharded) homeSrc() pager.PageSource { return nil }
 
-// probeLock implements the planner's probeLocker hook.
-func (s *Sharded) probeLock() *sync.Mutex { return &s.probeMu }
+// coldSrc implements contender: the in-memory global store, which
+// routes every shard around its pool.
+func (s *Sharded) coldSrc() pager.PageSource { return storeSource(s.store) }
 
-// Source implements Paged.
-func (s *Sharded) Source() pager.PageSource { return s.src }
-
-// PagedQuery implements Paged (and prefetch.Served): one query reading
-// through a pool over the global store. Like SetSource, it is configuration
-// of the read path — do not run it concurrently with other queries on the
-// same Sharded.
+// PagedQuery implements Paged (and prefetch.Served): one range query reading
+// through a pool over the global store, hits in ascending global ID. The
+// pool travels with the call, so concurrent PagedQuery calls and queries on
+// the same Sharded do not interfere.
 func (s *Sharded) PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(int32)) {
 	if s.n == 0 {
 		return
 	}
-	s.pqMu.Lock()
-	defer s.pqMu.Unlock()
-	old := s.src
-	s.src = pool
-	defer func() { s.src = old }()
-	s.queryNative(q, visit)
+	s.do(context.Background(), pool, RangeRequest(q), func(h Hit) { visit(h.ID) })
 }

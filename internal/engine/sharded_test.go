@@ -3,10 +3,11 @@ package engine_test
 // The sharded scatter-gather differential: for shard counts {1, 2, 4, 7} ×
 // worker counts {1, 2, 4}, engine.Sharded must emit exactly the hits of the
 // unsharded contender (Sharded's fixed native order is ascending global ID)
-// with consistent stats — also through per-shard buffer pools, through an
-// attached global pool, and under planner-routed execution.
+// with consistent stats — also through per-shard buffer pools, through a
+// session's global pool, and under planner-routed execution.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -22,16 +23,16 @@ import (
 var shardCounts = []int{1, 2, 4, 7}
 var shardWorkerCounts = []int{1, 2, 4}
 
-// sortedHits runs a serial query loop on ix and returns hits in ascending ID
+// sortedHits runs a serial Do loop on ix and returns hits in ascending ID
 // per query — the canonical gather order Sharded must reproduce — plus the
 // per-query stats.
-func sortedHits(ix engine.SpatialIndex, qs []geom.AABB) ([]hit, []engine.QueryStats) {
+func sortedHits(t testing.TB, ix engine.SpatialIndex, qs []geom.AABB) ([]hit, []engine.QueryStats) {
+	t.Helper()
 	var hits []hit
 	var sts []engine.QueryStats
 	for qi, q := range qs {
-		var ids []int32
-		sts = append(sts, ix.Query(q, func(id int32) { ids = append(ids, id) }))
-		insertionSort(ids)
+		ids, st := rangeIDs(t, ix, q)
+		sts = append(sts, st)
 		for _, id := range ids {
 			hits = append(hits, hit{qi, id})
 		}
@@ -39,12 +40,14 @@ func sortedHits(ix engine.SpatialIndex, qs []geom.AABB) ([]hit, []engine.QuerySt
 	return hits, sts
 }
 
-func insertionSort(ids []int32) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
+// openSession opens a session or fails the test.
+func openSession(t testing.TB, opts ...engine.SessionOption) *engine.Session {
+	t.Helper()
+	sess, err := engine.Open(opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return sess
 }
 
 // subIndexOptions returns the Sharded configuration for a sub-index kind.
@@ -84,7 +87,7 @@ func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 	for _, kind := range []string{"flat", "rtree", "grid"} {
 		t.Run(kind, func(t *testing.T) {
 			base := newContender(t, kind, items)
-			want, wantStats := sortedHits(base, queries)
+			want, wantStats := sortedHits(t, base, queries)
 
 			for _, k := range shardCounts {
 				sh := engine.NewSharded(subIndexOptions(kind, k))
@@ -96,7 +99,7 @@ func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 				}
 
 				// Serial scatter-gather == sorted unsharded serial loop.
-				got, gotStats := sortedHits(sh, queries)
+				got, gotStats := sortedHits(t, sh, queries)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("shards=%d: serial hits diverged from unsharded (%d vs %d)",
 						k, len(got), len(want))
@@ -112,13 +115,11 @@ func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 					}
 				}
 
-				// BatchQuery at every worker count == Sharded serial, exact
+				// DoBatch at every worker count == Sharded serial, exact
 				// per-query stats included.
+				sess := openSession(t, engine.WithIndex(sh))
 				for _, w := range shardWorkerCounts {
-					var batch []hit
-					bsts := sh.BatchQuery(queries, w, func(q int, id int32) {
-						batch = append(batch, hit{q, id})
-					})
+					batch, bsts := batchHits(t, sess, rangeRequests(queries), w)
 					if !reflect.DeepEqual(batch, want) {
 						t.Fatalf("shards=%d workers=%d: batch hits diverged", k, w)
 					}
@@ -143,7 +144,7 @@ func TestShardedPerShardPools(t *testing.T) {
 	if err := base.Build(items); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := sortedHits(base, queries)
+	want, _ := sortedHits(t, base, queries)
 
 	for _, k := range shardCounts {
 		opts := subIndexOptions("flat", k)
@@ -152,9 +153,9 @@ func TestShardedPerShardPools(t *testing.T) {
 		if err := sh.Build(items); err != nil {
 			t.Fatal(err)
 		}
+		sess := openSession(t, engine.WithIndex(sh))
 		for _, w := range shardWorkerCounts {
-			var got []hit
-			sh.BatchQuery(queries, w, func(q int, id int32) { got = append(got, hit{q, id}) })
+			got, _ := batchHits(t, sess, rangeRequests(queries), w)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d workers=%d: pooled hits diverged", k, w)
 			}
@@ -175,9 +176,9 @@ func TestShardedPerShardPools(t *testing.T) {
 	}
 }
 
-// TestShardedThroughGlobalPool attaches one buffer pool over the global page
-// space (SetSource): hits must be unchanged and the pool must account reads
-// in global page IDs.
+// TestShardedThroughGlobalPool reads through one buffer pool over the global
+// page space, carried by a session (WithPageSource): hits must be unchanged
+// and the pool must account reads in global page IDs.
 func TestShardedThroughGlobalPool(t *testing.T) {
 	items := testItems(t, 12, 7009)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
@@ -187,7 +188,7 @@ func TestShardedThroughGlobalPool(t *testing.T) {
 	if err := base.Build(items); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := sortedHits(base, queries)
+	want, _ := sortedHits(t, base, queries)
 
 	for _, k := range shardCounts {
 		sh := engine.NewSharded(subIndexOptions("flat", k))
@@ -199,10 +200,8 @@ func TestShardedThroughGlobalPool(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh.SetSource(pool)
-			var got []hit
-			sh.BatchQuery(queries, w, func(q int, id int32) { got = append(got, hit{q, id}) })
-			sh.SetSource(nil)
+			sess := openSession(t, engine.WithIndex(sh), engine.WithPageSource(pool))
+			got, _ := batchHits(t, sess, rangeRequests(queries), w)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d workers=%d: globally pooled hits diverged", k, w)
 			}
@@ -231,19 +230,19 @@ func TestShardedPlannerRouted(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := engine.NewPlanner(fl, sh)
+		sess := openSession(t, engine.WithPlanner(p))
 		for _, w := range shardWorkerCounts {
-			next := p.Plan(queries)
-			var want []hit
-			for qi, q := range queries {
-				qi := qi
-				next.Index.Query(q, func(id int32) { want = append(want, hit{qi, id}) })
+			results, err := sess.DoBatch(context.Background(), rangeRequests(queries), w)
+			if err != nil {
+				t.Fatal(err)
 			}
 			var got []hit
-			_, d := p.Run(queries, w, func(q int, id int32) { got = append(got, hit{q, id}) })
-			if d.Index != next.Index {
-				t.Fatalf("shards=%d workers=%d: Run chose %s, Plan predicted %s",
-					k, w, d.Index.Name(), next.Index.Name())
+			for qi, r := range results {
+				for _, h := range r.Hits {
+					got = append(got, hit{qi, h.ID})
+				}
 			}
+			want, _ := sortedHits(t, p.Index(results[0].Index), queries)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d workers=%d: planner-routed hits diverged", k, w)
 			}
@@ -292,11 +291,12 @@ func TestShardedStorageGeometry(t *testing.T) {
 		for _, p := range sh.PagesInRange(q) {
 			pages[p] = true
 		}
-		sh.Query(q, func(id int32) {
+		ids, _ := rangeIDs(t, sh, q)
+		for _, id := range ids {
 			if !pages[sh.PageOf(id)] {
 				t.Fatalf("result %d's page %d not in PagesInRange", id, sh.PageOf(id))
 			}
-		})
+		}
 	}
 }
 
@@ -367,7 +367,10 @@ func TestShardedEmptyAndMoreShardsThanItems(t *testing.T) {
 	if sh.NumItems() != 0 || sh.NumShards() != 0 || sh.NumPages() != 0 {
 		t.Fatal("empty build left residue")
 	}
-	st := sh.Query(geom.BoxAround(geom.V(0, 0, 0), 10), func(int32) { t.Fatal("hit on empty index") })
+	ids, st := rangeIDs(t, sh, geom.BoxAround(geom.V(0, 0, 0), 10))
+	if len(ids) != 0 {
+		t.Fatal("hit on empty index")
+	}
 	if st.ShardsTouched != 0 {
 		t.Fatal("empty index touched shards")
 	}
@@ -383,8 +386,7 @@ func TestShardedEmptyAndMoreShardsThanItems(t *testing.T) {
 	if sh.NumShards() != 2 {
 		t.Fatalf("2 items under 8 shards built %d shards, want 2", sh.NumShards())
 	}
-	var got []int32
-	sh.Query(geom.BoxAround(geom.V(25, 0, 0), 30), func(id int32) { got = append(got, id) })
+	got, _ := rangeIDs(t, sh, geom.BoxAround(geom.V(25, 0, 0), 30))
 	if !reflect.DeepEqual(got, []int32{0, 1}) {
 		t.Fatalf("got %v, want [0 1]", got)
 	}

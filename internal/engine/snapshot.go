@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -263,12 +262,12 @@ type snapView struct {
 // per-kind routing decisions read the same as on raw indexes.
 func (v *snapView) Name() string { return v.name }
 
-// probeBase implements the planner's baseProber hook: calibration probes
-// executed through a view must detach the *base* index's attached
-// PageSource (the view itself is not Paged, but its page reads are the
-// base's), so probing never perturbs a pool the base shares with other
-// surfaces.
-func (v *snapView) probeBase() SpatialIndex { return v.base }
+// homeSrc implements contender: a view reads through its base's home
+// source (nil without a base).
+func (v *snapView) homeSrc() pager.PageSource { return homeOf(v.base) }
+
+// coldSrc implements contender: the base's in-memory store.
+func (v *snapView) coldSrc() pager.PageSource { return coldOf(v.base) }
 
 // Build implements SpatialIndex. Snapshots are immutable: mutations go
 // through Dataset.Begin/Commit, rebuilds through Dataset.Compact.
@@ -291,6 +290,11 @@ func (v *snapView) NumItems() int { return v.snap.live }
 // filter inline, never buffered whole. Only the merged output is buffered,
 // to honor Do's all-or-nothing emission contract under cancellation.
 func (v *snapView) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
+	return v.do(ctx, v.homeSrc(), req, visit)
+}
+
+// do is Do with the base reading through src.
+func (v *snapView) do(ctx context.Context, src pager.PageSource, req Request, visit func(Hit)) (QueryStats, error) {
 	if err := req.Validate(); err != nil {
 		return QueryStats{}, err
 	}
@@ -301,9 +305,9 @@ func (v *snapView) Do(ctx context.Context, req Request, visit func(Hit)) (QueryS
 		return QueryStats{}, err
 	}
 	if req.paginated() {
-		return doPaginated(ctx, v, req, visit)
+		return doPaginated(ctx, v, src, req, visit)
 	}
-	it, err := v.iterate(ctx, req, nil)
+	it, err := v.iterate(ctx, src, req, nil)
 	if err != nil {
 		return QueryStats{}, err
 	}
@@ -333,10 +337,10 @@ func (v *snapView) Do(ctx context.Context, req Request, visit func(Hit)) (QueryS
 // updated item is tombstoned in the base and lives in the delta — so the
 // merge needs no deduplication. The resume position is translated to the
 // base's local ID space so its zone maps prune pages below the cursor.
-func (v *snapView) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
+func (v *snapView) iterate(ctx context.Context, src pager.PageSource, req Request, after *Hit) (HitIterator, error) {
 	if req.Kind == KNN {
 		return knnEager(func(visit func(Hit)) (QueryStats, error) {
-			return v.doKNN(ctx, req, visit)
+			return v.doKNN(ctx, src, req, visit)
 		}, KNN, after)
 	}
 	sn := v.snap
@@ -352,7 +356,7 @@ func (v *snapView) iterate(ctx context.Context, req Request, after *Hit) (HitIte
 				baseAfter = &Hit{ID: int32(ub - 1)}
 			}
 		}
-		bs, err := rawStream(ctx, v.base, req, baseAfter)
+		bs, err := rawStream(ctx, v.base, src, req, baseAfter)
 		if err != nil {
 			return nil, err
 		}
@@ -427,7 +431,7 @@ func (d *deltaIter) Close()            {}
 // the same widening idiom as the R-tree's tie resolution. The previous
 // over-fetch of k + the raw global tombstone count scanned wildly too much
 // at high churn. The stats record is the widest base probe executed.
-func (v *snapView) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
+func (v *snapView) doKNN(ctx context.Context, src pager.PageSource, req Request, visit func(Hit)) (QueryStats, error) {
 	sn := v.snap
 	var st QueryStats
 	var cands []Hit
@@ -444,7 +448,7 @@ func (v *snapView) doKNN(ctx context.Context, req Request, visit func(Hit)) (Que
 		for {
 			cands = cands[:0]
 			st.Tombstones = 0
-			bst, err := v.base.Do(ctx, Request{Kind: KNN, Center: req.Center, K: kk}, func(h Hit) {
+			bst, err := doVia(ctx, v.base, src, Request{Kind: KNN, Center: req.Center, K: kk}, func(h Hit) {
 				g := sn.baseItems[h.ID].ID
 				if _, dead := sn.tombs[g]; dead {
 					st.Tombstones++
@@ -476,40 +480,4 @@ func (v *snapView) doKNN(ctx context.Context, req Request, visit func(Hit)) (Que
 		visit(h)
 	}
 	return st, nil
-}
-
-// Query implements SpatialIndex. Unlike the raw indexes' native orders, a
-// view's fixed order is the canonical ascending-ID order of Do.
-//
-// The legacy surface has no error channel, so only the documented
-// invalid-box case maps to an empty QueryStats; any other failure from Do is
-// a real execution error that must not be silently swallowed into
-// "no results" — it panics instead. (With the background context used here
-// that is unreachable today; the distinction guards future execution paths.)
-//
-// Deprecated: route new call sites through Session.Do with a Range request.
-func (v *snapView) Query(q geom.AABB, visit func(int32)) QueryStats {
-	st, err := v.Do(context.Background(), RangeRequest(q), func(h Hit) {
-		if visit != nil {
-			visit(h.ID)
-		}
-	})
-	if err != nil {
-		var reqErr *RequestError
-		if errors.As(err, &reqErr) {
-			return QueryStats{} // invalid box: the legacy surface reports empty
-		}
-		panic(fmt.Sprintf("engine: snapshot view %s: legacy Query cannot report execution error: %v",
-			v.name, err))
-	}
-	return st
-}
-
-// BatchQuery implements SpatialIndex via the shared deterministic executor.
-//
-// Deprecated: route new call sites through Session.DoBatch.
-func (v *snapView) BatchQuery(qs []geom.AABB, workers int, visit func(int, int32)) []QueryStats {
-	return batchQuery(workers, qs, func(q geom.AABB, emit func(int32)) QueryStats {
-		return v.Query(q, emit)
-	}, visit)
 }

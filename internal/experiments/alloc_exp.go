@@ -3,9 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
-	"time"
 
 	"neurospatial/internal/engine"
 	"neurospatial/internal/flat"
@@ -114,8 +112,9 @@ func e12Requests(cfg E12Config, rng interface{ Float64() float64 }) map[engine.K
 }
 
 // measureCell runs the request set Ops times through ix.Do and reports the
-// cell's allocation and timing profile. The set is executed once unmeasured
-// first, so pools are warm and lazily derived structures exist.
+// cell's allocation and timing profile (stats.AllocsPerOp). The set is
+// executed once unmeasured first, so pools are warm, lazily derived
+// structures exist and the per-query result counts are known.
 func measureCell(ix engine.SpatialIndex, reqs []engine.Request, ops int) (E12Row, error) {
 	ctx := context.Background()
 	sink := func(engine.Hit) {}
@@ -127,20 +126,18 @@ func measureCell(ix engine.SpatialIndex, reqs []engine.Request, ops int) (E12Row
 		}
 		results += st.Results
 	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-	for i := 0; i < ops; i++ {
-		if _, err := ix.Do(ctx, reqs[i%len(reqs)], sink); err != nil {
-			return E12Row{}, err
+	var doErr error
+	allocs, bytes, el := stats.AllocsPerOp(ops, func(i int) {
+		if _, err := ix.Do(ctx, reqs[i%len(reqs)], sink); err != nil && doErr == nil {
+			doErr = err
 		}
+	})
+	if doErr != nil {
+		return E12Row{}, doErr
 	}
-	el := time.Since(t0)
-	runtime.ReadMemStats(&m1)
 	return E12Row{
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(ops),
-		BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops),
+		AllocsPerOp: allocs,
+		BytesPerOp:  bytes,
 		NsPerOp:     float64(el.Nanoseconds()) / float64(ops),
 		Results:     results / int64(len(reqs)),
 	}, nil
@@ -168,17 +165,8 @@ func unpooledFlatRange(idx *flat.Index, reqs []engine.Request, ops int) float64 
 		}
 		e12Escape = hits
 	}
-	for _, r := range reqs {
-		run(r.Box)
-	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < ops; i++ {
-		run(reqs[i%len(reqs)].Box)
-	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / float64(ops)
+	allocs, _, _ := stats.AllocsPerOp(ops, func(i int) { run(reqs[i%len(reqs)].Box) })
+	return allocs
 }
 
 // RunE12 executes the allocation sweep and the plan-cache workload. Under an

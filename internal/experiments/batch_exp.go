@@ -105,13 +105,17 @@ func RunE7(cfg E7Config) ([]E7Row, error) {
 	}
 	queries := centerQueries(m.Circuit.Params.Volume, cfg.Queries, cfg.QueryRadius, cfg.Seed)
 	reqs := rangeRequests(queries)
+	ixs, err := modelIndexes(m, "flat", "rtree")
+	if err != nil {
+		return nil, fmt.Errorf("experiments: E7: %w", err)
+	}
 	var rows []E7Row
 	for _, w := range cfg.WorkerCounts {
-		fagg, flatTime, err := sessionBatchTotals(m.Engine.Index("flat"), reqs, w)
+		fagg, flatTime, err := sessionBatchTotals(ixs[0], reqs, w)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: E7 flat workers=%d: %w", w, err)
 		}
-		ragg, rtreeTime, err := sessionBatchTotals(m.Engine.Index("rtree"), reqs, w)
+		ragg, rtreeTime, err := sessionBatchTotals(ixs[1], reqs, w)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: E7 rtree workers=%d: %w", w, err)
 		}

@@ -43,6 +43,20 @@ func buildModel(neurons int, edge float64, seed int64, workers int) (*core.Model
 	return core.BuildModel(p, core.DefaultOptions())
 }
 
+// modelIndexes returns the model's named epoch-0 engine contenders, in the
+// order given.
+func modelIndexes(m *core.Model, names ...string) ([]engine.SpatialIndex, error) {
+	out := make([]engine.SpatialIndex, len(names))
+	for i, name := range names {
+		ix, err := m.EngineIndex(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ix
+	}
+	return out, nil
+}
+
 // buildLayeredModel is buildModel with the cortical layer profile, the
 // skewed-density regime of real tissue.
 func buildLayeredModel(neurons int, edge float64, seed int64, workers int) (*core.Model, error) {
@@ -272,7 +286,11 @@ func RunE2(cfg E2Config) ([]E2Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: E2: %w", err)
 	}
-	eflat, ertree := m.Engine.Index("flat"), m.Engine.Index("rtree")
+	ixs, err := modelIndexes(m, "flat", "rtree")
+	if err != nil {
+		return nil, fmt.Errorf("experiments: E2: %w", err)
+	}
+	eflat, ertree := ixs[0], ixs[1]
 	center := m.Circuit.Params.Volume.Center()
 	ctx := context.Background()
 	var rows []E2Row

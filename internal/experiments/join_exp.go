@@ -231,7 +231,10 @@ func RunE6(cfg E6Config) ([]E6Row, error) {
 			return nil, fmt.Errorf("experiments: E6 size %d: %w", n, err)
 		}
 		build := time.Since(start)
-		eflat := m.Engine.Index("flat")
+		eflat, err := m.EngineIndex("flat")
+		if err != nil {
+			return nil, fmt.Errorf("experiments: E6: %w", err)
+		}
 		queries := centerQueries(m.Circuit.Params.Volume, cfg.Queries, cfg.QueryRadius, cfg.Seed+int64(n))
 		row := E6Row{
 			Neurons:    n,

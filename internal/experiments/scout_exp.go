@@ -60,7 +60,10 @@ func RunE3(cfg E3Config) ([]E3Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: E3: %w", err)
 	}
-	eflat := m.Engine.Index("flat")
+	eflat, err := m.EngineIndex("flat")
+	if err != nil {
+		return nil, fmt.Errorf("experiments: E3: %w", err)
+	}
 	geo := eflat.(prefetch.PageGeometry)
 	paths := longestPaths(m, cfg.Walkthroughs)
 	type acc struct {

@@ -160,10 +160,14 @@ func RunE8(cfg E8Config) (*E8Result, error) {
 		}
 	}
 
-	// Routing: the model's planner already carries the sharded contender as
-	// its fourth index; plan the same batch and report the decision.
-	res.Routing = m.Engine.Plan(queries)
-	if sh, ok := m.Engine.Index("sharded").(*engine.Sharded); ok {
+	// Routing: a planner over the model's four epoch-0 contenders, the
+	// sharded one included, plans the same batch as Range requests.
+	bases, err := modelIndexes(m, "flat", "rtree", "grid", "sharded")
+	if err != nil {
+		return nil, fmt.Errorf("experiments: E8: %w", err)
+	}
+	res.Routing = engine.NewPlanner(bases...).PlanKind(engine.Range, rangeRequests(queries))
+	if sh, ok := bases[3].(*engine.Sharded); ok {
 		res.RoutingShards = sh.NumShards()
 	}
 	return res, nil

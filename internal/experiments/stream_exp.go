@@ -147,21 +147,19 @@ func RunE11(cfg E11Config) ([]E11Row, error) {
 }
 
 // e11Contender measures one built contender: full scan, limited page, and
-// cursor resume, each through a counting tap. Factored out of RunE11 so the
-// session pin and the tap installation unwind on every exit path.
+// cursor resume, each read through a counting tap the session carries.
+// Factored out of RunE11 so the session pin unwinds on every exit path.
 func e11Contender(ix engine.SpatialIndex, query engine.Request, cfg E11Config) (E11Row, error) {
 	pg, ok := ix.(engine.Paged)
 	if !ok {
 		return E11Row{}, fmt.Errorf("experiments: E11: %s is not Paged", ix.Name())
 	}
-	sess, err := engine.Open(engine.WithIndex(ix))
+	tap := pager.NewCounting(pg.Store())
+	sess, err := engine.Open(engine.WithIndex(ix), engine.WithPageSource(tap))
 	if err != nil {
 		return E11Row{}, err
 	}
 	defer sess.Close()
-	tap := pager.NewCounting(pg.Store())
-	pg.SetSource(tap)
-	defer pg.SetSource(nil)
 
 	limited := query
 	limited.Limit = cfg.Limit

@@ -63,9 +63,10 @@ type PageSource interface {
 func (s *Store) ReadPage(id PageID) []int32 { return s.Page(id) }
 
 // Counting wraps a PageSource with an independent read counter — the proof
-// harness of the streaming result path's early-stop guarantees: attach one
-// under an index and the counter records exactly how many page reads an
-// execution issued, independent of the index's own QueryStats accounting.
+// harness of the streaming result path's early-stop guarantees: give one to
+// a session as its page source and the counter records exactly how many
+// page reads an execution issued, independent of the index's own
+// QueryStats accounting.
 // It is safe for concurrent use when the wrapped source is.
 type Counting struct {
 	src   PageSource

@@ -1,7 +1,7 @@
 // Package parallel is the shared work-scheduling layer under every
-// multi-core code path of the repository: the batched range-query APIs of
-// flat and rtree, the parallel build and probe phases of the PBSM, S3 and
-// TOUCH joins, and parallel tissue generation.
+// multi-core code path of the repository: the engine's batched request
+// executor (Session.DoBatch), the parallel build and probe phases of the
+// PBSM, S3 and TOUCH joins, and parallel tissue generation.
 //
 // The design goal is determinism: a parallel execution must produce exactly
 // the same observable output as the serial one, independent of the worker
@@ -19,7 +19,7 @@
 // Slot order equals serial iteration order, so the merged output is
 // byte-for-byte the order a single-threaded loop would have produced. The
 // differential tests in the repository root assert exactly that property for
-// every join algorithm and batch-query path.
+// every join algorithm and the batched request path.
 //
 // Mutable per-worker state (scratch stacks, stats accumulators) is indexed
 // by the worker id passed to every callback; workers never share mutable
@@ -242,74 +242,24 @@ func Collect[T any](workers, n int, work func(worker, slot int, emit func(T)), s
 	putSegs(segBox, segs)
 }
 
-// Batch is the deterministic batch-query executor shared by every index in
-// the repository (flat, rtree, and the engine layer): run executes slot qi,
-// emitting hits of type H and returning that slot's summary of type S; visit
-// receives exactly the (slot, hit) pairs a serial loop would produce, in the
-// same order, for any worker count.
-//
-// The worker contract matches every Workers knob in the repository: 0 or 1
-// executes serially on the calling goroutine (hits are delivered to visit as
-// they are found, with no buffering), values > 1 use that many workers, and
-// negative values use one worker per CPU. Under parallel execution each
-// slot's hits are buffered and replayed in slot order after the pool drains;
-// visit runs on the calling goroutine only. A nil visit skips result
-// buffering entirely (summaries only).
-func Batch[S, H any](workers, n int, run func(qi int, emit func(H)) S,
-	visit func(qi int, h H)) []S {
-
-	out := make([]S, n)
-	w := 1
-	if workers != 0 && workers != 1 {
-		w = Workers(workers)
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 || n <= 1 {
-		for qi := 0; qi < n; qi++ {
-			qi := qi
-			out[qi] = run(qi, func(h H) {
-				if visit != nil {
-					visit(qi, h)
-				}
-			})
-		}
-		return out
-	}
-	if visit == nil {
-		ForEach(w, n, func(_, qi int) {
-			out[qi] = run(qi, discard[H])
-		})
-		return out
-	}
-	wbs := newWorkerBufs[H](w)
-	segBox, segs := getSegs(n)
-	ForEach(w, n, func(worker, qi int) {
-		wb := &wbs[worker]
-		start := len(wb.buf)
-		out[qi] = run(qi, wb.emit)
-		segs[qi] = seg{worker, start, len(wb.buf)}
-	})
-	for qi, sg := range segs {
-		for _, h := range wbs[sg.worker].buf[sg.start:sg.end] {
-			visit(qi, h)
-		}
-	}
-	putSegs(segBox, segs)
-	return out
-}
-
 // discard is the no-op emit handed to slot runners when the caller asked for
 // summaries only. A named function (rather than a literal) so the buffered
 // executors do not allocate a closure per slot for it.
 func discard[H any](H) {}
 
-// BatchCtx is Batch with context cancellation and per-slot errors — the
-// executor under the engine's Session.DoBatch. The determinism contract is
-// all-or-nothing: on success the visits are exactly the serial loop's output
-// in slot order (the Batch guarantee); on failure nothing is visited and the
-// error is deterministic.
+// BatchCtx is the deterministic batch executor under the engine's
+// Session.DoBatch: run executes slot qi, emitting hits of type H and
+// returning that slot's summary of type S or an error. The determinism
+// contract is all-or-nothing: on success visit receives exactly the (slot,
+// hit) pairs a serial loop would produce, in slot order, for any worker
+// count; on failure nothing is visited and the error is deterministic.
+//
+// The worker contract matches every Workers knob in the repository: 0 or 1
+// executes serially on the calling goroutine, values > 1 use that many
+// workers, and negative values use one worker per CPU. Hits are buffered per
+// slot and replayed in slot order on the calling goroutine once every slot
+// has succeeded. A nil visit skips result buffering entirely (summaries
+// only).
 //
 // Cancellation is checked before every slot in every worker (and the slot
 // runners themselves check at page-read granularity via their page sources),

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -153,24 +154,31 @@ func TestDo(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSerial asserts the generic batch executor's core
-// guarantee: for any worker count, visit observes exactly the (slot, hit)
-// sequence of a serial loop, and the per-slot summaries are identical.
+// TestBatchMatchesSerial asserts the batch executor's core guarantee: for
+// any worker count, visit observes exactly the (slot, hit) sequence of a
+// serial loop, and the per-slot summaries are identical.
 func TestBatchMatchesSerial(t *testing.T) {
 	const n = 37
-	run := func(qi int, emit func(int)) int {
+	run := func(qi int, emit func(int)) (int, error) {
 		// Slot qi emits qi%5 hits: deterministic, skewed sizes.
 		for k := 0; k < qi%5; k++ {
 			emit(qi*100 + k)
 		}
-		return qi * 7
+		return qi * 7, nil
 	}
 	type pair struct{ q, h int }
+	batch := func(w int, visit func(q, h int)) []int {
+		sums, err := BatchCtx(context.Background(), w, n, run, visit)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		return sums
+	}
 	var want []pair
-	wantSums := Batch(1, n, run, func(q, h int) { want = append(want, pair{q, h}) })
+	wantSums := batch(1, func(q, h int) { want = append(want, pair{q, h}) })
 	for _, w := range []int{0, 2, 3, 8, -1} {
 		var got []pair
-		sums := Batch(w, n, run, func(q, h int) { got = append(got, pair{q, h}) })
+		sums := batch(w, func(q, h int) { got = append(got, pair{q, h}) })
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d hits, want %d", w, len(got), len(want))
 		}
@@ -186,20 +194,20 @@ func TestBatchMatchesSerial(t *testing.T) {
 		}
 	}
 	// nil visit: summaries only, no panic.
-	sums := Batch(4, n, run, nil)
+	sums := batch(4, nil)
 	for i := range sums {
 		if sums[i] != i*7 {
 			t.Errorf("nil-visit summary %d = %d", i, sums[i])
 		}
 	}
-	if got := Batch(4, 0, run, nil); len(got) != 0 {
-		t.Errorf("empty batch returned %d summaries", len(got))
+	if got, err := BatchCtx(context.Background(), 4, 0, run, nil); err != nil || len(got) != 0 {
+		t.Errorf("empty batch returned %d summaries, error %v", len(got), err)
 	}
 }
 
 // TestWorkerCountInvariance pins the determinism contract of the per-worker
 // buffered executors after the segment-table rework: for every worker count,
-// Collect, Batch and BatchCtx must deliver byte-for-byte the serial loop's
+// Collect and BatchCtx must deliver byte-for-byte the serial loop's
 // output, including under heavy emission skew (slot i emits i%5 values, so
 // worker buffers interleave segments from many slots).
 func TestWorkerCountInvariance(t *testing.T) {

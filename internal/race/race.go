@@ -1,7 +1,7 @@
 //go:build race
 
 // Package race reports whether the race detector is compiled in. Allocation
-// assertions (testing.AllocsPerRun gates, the E12 self-enforced guarantees)
+// assertions (stats.AllocsPerOp gates, the E12 self-enforced guarantees)
 // consult it: race instrumentation inserts allocations of its own, so
 // zero-alloc invariants are only checkable in uninstrumented builds.
 package race
